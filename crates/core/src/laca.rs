@@ -9,13 +9,28 @@
 //! The predicted local cluster is the top-`|Cs|` nodes of `ρ'`
 //! (Section II-D). Total time `O(k / ((1−α)·ε))` — Theorem V.4 gives the
 //! approximation bound, Lemma IV.3 the output-volume bound.
+//!
+//! # Data path
+//!
+//! Both diffusions run on one [`DiffusionWorkspace`] through the solvers'
+//! `*_run_in` loops, which leave `q` and `r` in the workspace. Step 2
+//! reads `π'` back with [`DiffusionWorkspace::reserve_into`] and sorts it
+//! by node id; Step 3's reserve comes back the same way and is rescaled
+//! in place to `(node, q/d)` pairs. [`Laca::cluster`] selects the top
+//! `|Cs|` from those pairs (select, then sort only the kept prefix), so a
+//! warm query allocates only the unit seed vector, Step 2's `ψ`
+//! accumulator and `φ'` map, and the returned cluster.
+//! [`Laca::bdd_with_stats_in`] builds its `ρ'` [`SparseVec`] once,
+//! pre-sized, from the same pairs. `φ'` stays a [`SparseVec`] built by
+//! ascending `set`s: `‖φ'‖₁` is summed in its map order, so its layout is
+//! part of the answer's bits.
 
-use crate::extract::top_k_cluster;
+use crate::extract::top_k_cluster_from_pairs;
 use crate::{CoreError, Tnam};
 use laca_diffusion::workspace::with_thread_workspace;
 use laca_diffusion::{
-    adaptive_diffuse_in, batch_diffuse_in, greedy_diffuse_in, nongreedy_diffuse_in, BatchMode,
-    BatchWorkspace, DiffusionParams, DiffusionStats, DiffusionWorkspace, SparseVec, MAX_LANES,
+    adaptive_run_in, batch_diffuse_in, greedy_run_in, nongreedy_run_in, BatchMode, BatchWorkspace,
+    DiffusionParams, DiffusionStats, DiffusionWorkspace, SparseVec, MAX_LANES,
 };
 use laca_graph::{CsrGraph, NodeId};
 use std::sync::Arc;
@@ -220,12 +235,14 @@ impl<'g> Laca<'g> {
         &self.params
     }
 
+    /// One diffusion of Algo. 4 with the configured backend. `q` and `r`
+    /// stay in `ws`; only the stats come back.
     fn diffuse(
         &self,
         f: &SparseVec,
         epsilon: f64,
         ws: &mut DiffusionWorkspace,
-    ) -> Result<laca_diffusion::DiffusionResult, CoreError> {
+    ) -> Result<DiffusionStats, CoreError> {
         let dp = DiffusionParams {
             alpha: self.params.alpha,
             epsilon,
@@ -233,12 +250,55 @@ impl<'g> Laca<'g> {
             record_residuals: false,
         };
         let graph = self.graph.get();
-        let out = match self.params.backend {
-            DiffusionBackend::Adaptive => adaptive_diffuse_in(graph, f, &dp, ws)?,
-            DiffusionBackend::Greedy => greedy_diffuse_in(graph, f, &dp, ws)?,
-            DiffusionBackend::NonGreedy => nongreedy_diffuse_in(graph, f, &dp, ws)?,
+        let stats = match self.params.backend {
+            DiffusionBackend::Adaptive => adaptive_run_in(graph, f, &dp, ws)?,
+            DiffusionBackend::Greedy => greedy_run_in(graph, f, &dp, ws)?,
+            DiffusionBackend::NonGreedy => nongreedy_run_in(graph, f, &dp, ws)?,
         };
-        Ok(out)
+        Ok(stats)
+    }
+
+    /// Steps 1–3 of Algo. 4 on `ws`. Returns the query's stats and `ρ'` as
+    /// `(node, q/d)` pairs in the workspace's reserve buffer (first-touch
+    /// order; empty when `‖φ'‖₁ = 0`). Neither `π'` nor `ρ'` becomes a
+    /// map; `φ'` stays a [`SparseVec`] because `‖φ'‖₁` and Step 3's seeding
+    /// run in its map order.
+    fn run_in<'w>(
+        &self,
+        seed: NodeId,
+        ws: &'w mut DiffusionWorkspace,
+    ) -> Result<(LacaQueryStats, RhoPairs<'w>), CoreError> {
+        let graph = self.graph.get();
+        if seed as usize >= graph.n() {
+            return Err(CoreError::BadParameter("seed node out of range"));
+        }
+
+        // Step 1: π' = AdaptiveDiffuse(1⁽ˢ⁾).
+        let rwr = self.diffuse(&SparseVec::unit(seed), self.params.epsilon, ws)?;
+        let pi = ws.reserve_into();
+        let mut stats = LacaQueryStats { rwr, rwr_support: pi.len(), ..Default::default() };
+
+        // Step 2: φ'. Iteration runs over ascending node ids — the same
+        // canonical order the batched pipeline uses — so the serial and
+        // batched Step-2 float sequences are identical op for op.
+        pi.sort_unstable_by_key(|&(i, _)| i);
+        let phi = step2_phi(graph, self.tnam_for_query(), pi);
+        let phi_l1 = phi.l1_norm();
+        stats.phi_l1 = phi_l1;
+        if phi_l1 == 0.0 {
+            return Ok((stats, &mut []));
+        }
+
+        // Step 3: diffuse φ' with threshold ε·‖φ'‖₁, then divide by degree.
+        // An entry that underflows to zero leaves the support, exactly as
+        // `SparseVec::set` would drop it.
+        stats.bdd = self.diffuse(&phi, self.params.epsilon * phi_l1, ws)?;
+        let rho = ws.reserve_into();
+        rho.retain_mut(|(i, q)| {
+            *q /= graph.weighted_degree(*i);
+            *q != 0.0
+        });
+        Ok((stats, rho))
     }
 
     /// Approximate BDD vector `ρ'` for a seed node, with telemetry.
@@ -251,38 +311,18 @@ impl<'g> Laca<'g> {
         with_thread_workspace(|ws| self.bdd_with_stats_in(seed, ws))
     }
 
-    /// [`Laca::bdd_with_stats`] on a caller-managed workspace.
+    /// [`Laca::bdd_with_stats`] on a caller-managed workspace. `ρ'` is
+    /// built as a [`SparseVec`] once, pre-sized, from the workspace.
     pub fn bdd_with_stats_in(
         &self,
         seed: NodeId,
         ws: &mut DiffusionWorkspace,
     ) -> Result<(SparseVec, LacaQueryStats), CoreError> {
-        let graph = self.graph.get();
-        if seed as usize >= graph.n() {
-            return Err(CoreError::BadParameter("seed node out of range"));
+        let (stats, pairs) = self.run_in(seed, ws)?;
+        let mut rho = SparseVec::with_capacity(pairs.len());
+        for &(i, v) in pairs.iter() {
+            rho.set(i, v);
         }
-        let mut stats = LacaQueryStats::default();
-
-        // Step 1: π' = AdaptiveDiffuse(1⁽ˢ⁾).
-        let rwr = self.diffuse(&SparseVec::unit(seed), self.params.epsilon, ws)?;
-        stats.rwr = rwr.stats.clone();
-        stats.rwr_support = rwr.reserve.support_size();
-        let pi = rwr.reserve;
-
-        // Step 2: φ'. Iteration runs over ascending node ids — the same
-        // canonical order the batched pipeline uses — so the serial and
-        // batched Step-2 float sequences are identical op for op.
-        let phi = step2_phi(graph, self.tnam_for_query(), &pi.to_sorted_pairs());
-        let phi_l1 = phi.l1_norm();
-        stats.phi_l1 = phi_l1;
-        if phi_l1 == 0.0 {
-            return Ok((SparseVec::new(), stats));
-        }
-
-        // Step 3: diffuse φ' with threshold ε·‖φ'‖₁, then divide by degree.
-        let bdd = self.diffuse(&phi, self.params.epsilon * phi_l1, ws)?;
-        stats.bdd = bdd.stats.clone();
-        let rho = step3_rho(graph, &bdd.reserve.to_sorted_pairs());
         Ok((rho, stats))
     }
 
@@ -329,10 +369,14 @@ impl<'g> Laca<'g> {
     }
 
     /// Predicted local cluster: the `size` nodes with the largest BDD
-    /// values (the seed is always included).
+    /// values (the seed is always included) — the same answer as
+    /// [`crate::extract::top_k_cluster`] over [`Laca::bdd`], selected
+    /// straight from the workspace without building `ρ'` as a map.
     pub fn cluster(&self, seed: NodeId, size: usize) -> Result<Vec<NodeId>, CoreError> {
-        let rho = self.bdd(seed)?;
-        Ok(top_k_cluster(&rho, seed, size))
+        with_thread_workspace(|ws| {
+            let (_, rho) = self.run_in(seed, ws)?;
+            Ok(top_k_cluster_from_pairs(rho, seed, size))
+        })
     }
 
     /// Batched Algo. 4: answers many seeds through shared traversals,
@@ -466,6 +510,9 @@ impl<'g> Laca<'g> {
     }
 }
 
+/// `ρ'` as `(node, q/d)` pairs, borrowed from a workspace's reserve buffer.
+type RhoPairs<'w> = &'w mut [(NodeId, f64)];
+
 /// Step 2 (Eq. 12/13) over a sorted `π'` support: `ψ = Σ π'_i · z⁽ⁱ⁾`,
 /// then `φ'_i = max(ψ·z⁽ⁱ⁾, 0) · d(v_i)`; without a TNAM the
 /// identity-SNAS degenerate form `φ'_i = π'_i · d(v_i)`.
@@ -502,7 +549,8 @@ fn step2_phi(graph: &CsrGraph, tnam: Option<&Tnam>, pairs: &[(NodeId, f64)]) -> 
 }
 
 /// Final degree normalization of Algo. 4 over a sorted BDD reserve:
-/// `ρ'_i = q_i / d(v_i)`. Shared by the serial and batched paths.
+/// `ρ'_i = q_i / d(v_i)`, for the batched path (the serial path rescales
+/// the workspace's pairs in place, with the same division).
 fn step3_rho(graph: &CsrGraph, pairs: &[(NodeId, f64)]) -> SparseVec {
     let mut rho = SparseVec::new();
     for &(i, v) in pairs {

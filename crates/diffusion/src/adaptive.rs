@@ -41,6 +41,21 @@ pub fn nongreedy_diffuse_in(
     params: &DiffusionParams,
     ws: &mut DiffusionWorkspace,
 ) -> Result<DiffusionResult, DiffusionError> {
+    let stats = nongreedy_run_in(graph, f, params, ws)?;
+    let (reserve, residual) = ws.to_sparse();
+    Ok(DiffusionResult { reserve, residual, stats })
+}
+
+/// The non-greedy loop itself: runs [`nongreedy_diffuse_in`]'s iteration
+/// but leaves `q` and `r` in `ws` instead of converting them to
+/// [`SparseVec`]s; [`DiffusionWorkspace::reserve_into`] reads `q` back.
+// lint: hot-path
+pub fn nongreedy_run_in(
+    graph: &CsrGraph,
+    f: &SparseVec,
+    params: &DiffusionParams,
+    ws: &mut DiffusionWorkspace,
+) -> Result<DiffusionStats, DiffusionError> {
     params.validate()?;
     check_input(f)?;
     let epoch_resets_before = ws.epoch_resets_total();
@@ -60,8 +75,7 @@ pub fn nongreedy_diffuse_in(
     stats.frontier_peak = ws.frontier_peak();
     stats.touched = ws.touched_len();
     stats.epoch_resets = (ws.epoch_resets_total() - epoch_resets_before) as usize;
-    let (reserve, residual) = ws.to_sparse();
-    Ok(DiffusionResult { reserve, residual, stats })
+    Ok(stats)
 }
 
 /// Runs AdaptiveDiffuse (Algo. 2) on `graph` from the initial vector `f`,
@@ -87,6 +101,21 @@ pub fn adaptive_diffuse_in(
     params: &DiffusionParams,
     ws: &mut DiffusionWorkspace,
 ) -> Result<DiffusionResult, DiffusionError> {
+    let stats = adaptive_run_in(graph, f, params, ws)?;
+    let (reserve, residual) = ws.to_sparse();
+    Ok(DiffusionResult { reserve, residual, stats })
+}
+
+/// The AdaptiveDiffuse loop itself: runs [`adaptive_diffuse_in`]'s
+/// iteration but leaves `q` and `r` in `ws` instead of converting them to
+/// [`SparseVec`]s; [`DiffusionWorkspace::reserve_into`] reads `q` back.
+// lint: hot-path
+pub fn adaptive_run_in(
+    graph: &CsrGraph,
+    f: &SparseVec,
+    params: &DiffusionParams,
+    ws: &mut DiffusionWorkspace,
+) -> Result<DiffusionStats, DiffusionError> {
     params.validate()?;
     check_input(f)?;
     let epoch_resets_before = ws.epoch_resets_total();
@@ -122,8 +151,7 @@ pub fn adaptive_diffuse_in(
     stats.frontier_peak = ws.frontier_peak();
     stats.touched = ws.touched_len();
     stats.epoch_resets = (ws.epoch_resets_total() - epoch_resets_before) as usize;
-    let (reserve, residual) = ws.to_sparse();
-    Ok(DiffusionResult { reserve, residual, stats })
+    Ok(stats)
 }
 
 #[cfg(test)]

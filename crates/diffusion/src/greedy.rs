@@ -38,6 +38,21 @@ pub fn greedy_diffuse_in(
     params: &DiffusionParams,
     ws: &mut DiffusionWorkspace,
 ) -> Result<DiffusionResult, DiffusionError> {
+    let stats = greedy_run_in(graph, f, params, ws)?;
+    let (reserve, residual) = ws.to_sparse();
+    Ok(DiffusionResult { reserve, residual, stats })
+}
+
+/// The GreedyDiffuse loop itself: runs [`greedy_diffuse_in`]'s iteration
+/// but leaves `q` and `r` in `ws` instead of converting them to
+/// [`SparseVec`]s; [`DiffusionWorkspace::reserve_into`] reads `q` back.
+// lint: hot-path
+pub fn greedy_run_in(
+    graph: &CsrGraph,
+    f: &SparseVec,
+    params: &DiffusionParams,
+    ws: &mut DiffusionWorkspace,
+) -> Result<DiffusionStats, DiffusionError> {
     params.validate()?;
     check_input(f)?;
     let epoch_resets_before = ws.epoch_resets_total();
@@ -56,8 +71,7 @@ pub fn greedy_diffuse_in(
     stats.frontier_peak = ws.frontier_peak();
     stats.touched = ws.touched_len();
     stats.epoch_resets = (ws.epoch_resets_total() - epoch_resets_before) as usize;
-    let (reserve, residual) = ws.to_sparse();
-    Ok(DiffusionResult { reserve, residual, stats })
+    Ok(stats)
 }
 
 #[cfg(test)]

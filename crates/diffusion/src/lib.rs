@@ -16,7 +16,8 @@
 //!   loops actually run on, reused across queries (one per thread via
 //!   [`workspace::with_thread_workspace`], checked out of a shared
 //!   [`WorkspacePool`], or caller-managed through the `*_diffuse_in`
-//!   entry points),
+//!   entry points, or through the `*_run_in` loops that leave the result
+//!   in the workspace for [`DiffusionWorkspace::reserve_into`] to read),
 //! * [`greedy_diffuse`] — Algo. 1 (**GreedyDiffuse**),
 //! * [`nongreedy_diffuse`] — the full-front iteration of Eq. 17 that the
 //!   paper's Section IV-B study compares against,
@@ -41,10 +42,11 @@ pub mod sparse_vec;
 pub mod workspace;
 
 pub use adaptive::{
-    adaptive_diffuse, adaptive_diffuse_in, nongreedy_diffuse, nongreedy_diffuse_in,
+    adaptive_diffuse, adaptive_diffuse_in, adaptive_run_in, nongreedy_diffuse,
+    nongreedy_diffuse_in, nongreedy_run_in,
 };
 pub use batch::{batch_diffuse, batch_diffuse_in, BatchMode, BatchWorkspace, MAX_LANES};
-pub use greedy::{greedy_diffuse, greedy_diffuse_in};
+pub use greedy::{greedy_diffuse, greedy_diffuse_in, greedy_run_in};
 pub use sparse_vec::SparseVec;
 pub use workspace::{DiffusionWorkspace, PooledWorkspace, WorkspacePool};
 

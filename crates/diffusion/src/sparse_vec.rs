@@ -6,6 +6,7 @@
 
 use laca_graph::{CsrGraph, NodeId};
 use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 
 /// A sparse non-negative vector indexed by node id.
 ///
@@ -132,10 +133,10 @@ impl SparseVec {
     }
 
     /// Entries sorted by value descending (cluster extraction order),
-    /// ties broken by node id for determinism.
+    /// ties broken by node id for determinism; see [`by_rank`].
     pub fn to_ranked_pairs(&self) -> Vec<(NodeId, f64)> {
         let mut out: Vec<(NodeId, f64)> = self.iter().collect();
-        out.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        out.sort_unstable_by(by_rank);
         out
     }
 
@@ -147,6 +148,17 @@ impl SparseVec {
         }
         out
     }
+}
+
+/// Cluster-extraction order on `(node, score)` pairs: score descending
+/// under [`f64::total_cmp`], then node id ascending.
+///
+/// A total order, so ranking never panics: on the finite non-zero values a
+/// [`SparseVec`] stores it agrees with `partial_cmp`, and a NaN score gets
+/// a defined place (a positive NaN ranks above `+∞`, a negative one below
+/// `−∞`).
+pub fn by_rank(a: &(NodeId, f64), b: &(NodeId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 impl FromIterator<(NodeId, f64)> for SparseVec {
@@ -196,6 +208,16 @@ mod tests {
     fn ranked_pairs_order_deterministic() {
         let v = SparseVec::from_pairs([(2, 1.0), (7, 3.0), (1, 1.0)]);
         assert_eq!(v.to_ranked_pairs(), vec![(7, 3.0), (1, 1.0), (2, 1.0)]);
+    }
+
+    #[test]
+    fn ranked_pairs_give_nan_a_defined_place() {
+        let mut v = SparseVec::new();
+        for (i, x) in [(4, 0.5), (2, f64::NAN), (9, -f64::NAN), (1, 2.0)] {
+            v.set(i, x);
+        }
+        let ids: Vec<NodeId> = v.to_ranked_pairs().iter().map(|&(i, _)| i).collect();
+        assert_eq!(ids, vec![2, 1, 4, 9]);
     }
 
     #[test]

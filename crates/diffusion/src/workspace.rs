@@ -87,6 +87,9 @@ pub struct DiffusionWorkspace {
     /// Extracted `γ` entries `(node, value, 1/d)` between the extract and
     /// push phases.
     gamma: Vec<(NodeId, f64, f64)>,
+    /// Reserve read-out filled by [`DiffusionWorkspace::reserve_into`];
+    /// kept across queries so reading a result back allocates nothing.
+    pairs: Vec<(NodeId, f64)>,
     /// `|supp(r)|`, maintained incrementally.
     supp_r: usize,
     /// Nodes whose reserve went non-zero (sizes the output map exactly).
@@ -188,8 +191,14 @@ impl DiffusionWorkspace {
     /// Capacities of every internal buffer. Two equal signatures around a
     /// query prove the query allocated nothing inside the workspace — the
     /// steady-state zero-allocation property the tests assert.
-    pub fn capacity_signature(&self) -> [usize; 4] {
-        [self.slots.len(), self.touched.capacity(), self.supp_bits.len(), self.gamma.capacity()]
+    pub fn capacity_signature(&self) -> [usize; 5] {
+        [
+            self.slots.len(),
+            self.touched.capacity(),
+            self.supp_bits.len(),
+            self.gamma.capacity(),
+            self.pairs.capacity(),
+        ]
     }
 
     fn ensure_capacity(&mut self, n: usize) {
@@ -467,6 +476,27 @@ impl DiffusionWorkspace {
             .sum()
     }
 
+    /// The last run's reserve as `(node, q)` pairs, one per node with
+    /// `q != 0`, in first-touch order: one pass over the touched list into
+    /// a buffer the workspace owns, so a warm workspace allocates nothing
+    /// here. The buffer is the caller's to sort, rescale or filter; the
+    /// next `reserve_into` overwrites it.
+    ///
+    /// Holds the same entries (same bits) as the reserve
+    /// [`SparseVec`] that the matching `*_diffuse_in` call returns.
+    // lint: hot-path
+    pub fn reserve_into(&mut self) -> &mut Vec<(NodeId, f64)> {
+        self.pairs.clear();
+        self.pairs.reserve(self.supp_q);
+        for &v in &self.touched {
+            let q = self.slots[v as usize].q;
+            if q != 0.0 {
+                self.pairs.push((v, q));
+            }
+        }
+        &mut self.pairs
+    }
+
     /// Converts the scratch back to the public [`SparseVec`] boundary
     /// types: `(reserve, residual)`. One pass over the touched list; the
     /// output maps are pre-sized so filling them never rehashes.
@@ -689,7 +719,10 @@ pub fn with_thread_workspace<R>(f: impl FnOnce(&mut DiffusionWorkspace) -> R) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{adaptive_diffuse_in, greedy_diffuse_in, nongreedy_diffuse_in, DiffusionParams};
+    use crate::{
+        adaptive_diffuse_in, adaptive_run_in, greedy_diffuse_in, greedy_run_in,
+        nongreedy_diffuse_in, nongreedy_run_in, DiffusionParams,
+    };
 
     fn graph() -> CsrGraph {
         CsrGraph::from_edges(
@@ -725,6 +758,37 @@ mod tests {
             assert_eq!(ws.capacity_signature(), warm, "adaptive grew the warm workspace");
         }
         assert_eq!(ws.queries(), 11);
+    }
+
+    #[test]
+    fn reserve_into_matches_the_sparse_reserve_and_reuses_its_buffer() {
+        let g = graph();
+        let params = DiffusionParams::new(0.8, 1e-6);
+        let inputs = [SparseVec::unit(0), SparseVec::from_pairs([(3, 0.5), (6, 0.25)])];
+        let bits = |pairs: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+            let mut b: Vec<_> = pairs.iter().map(|&(v, q)| (v, q.to_bits())).collect();
+            b.sort_unstable();
+            b
+        };
+        let mut ws = DiffusionWorkspace::for_graph(&g);
+        for f in &inputs {
+            for diffuse in [adaptive_diffuse_in, greedy_diffuse_in, nongreedy_diffuse_in] {
+                let want = diffuse(&g, f, &params, &mut ws).unwrap();
+                let got = ws.reserve_into();
+                assert_eq!(got.len(), want.reserve.support_size());
+                assert_eq!(bits(got), bits(&want.reserve.to_sorted_pairs()));
+            }
+        }
+        // Warm: the run-then-read path grows no buffer, the pair buffer
+        // included.
+        let warm = ws.capacity_signature();
+        for f in &inputs {
+            for run in [adaptive_run_in, greedy_run_in, nongreedy_run_in] {
+                run(&g, f, &params, &mut ws).unwrap();
+                assert!(!ws.reserve_into().is_empty());
+                assert_eq!(ws.capacity_signature(), warm, "reading the reserve grew the workspace");
+            }
+        }
     }
 
     #[test]
