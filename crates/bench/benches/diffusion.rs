@@ -1,135 +1,19 @@
 //! Criterion micro-benchmarks for the diffusion solvers (Section IV):
-//! the quantitative backing for Fig. 5 / Table II, plus an **old-vs-new**
-//! comparison of the pre-workspace solvers against the epoch-stamped
-//! `DiffusionWorkspace` implementations on the registry's mid-size graph
+//! the quantitative backing for Fig. 5 / Table II — the epoch-stamped
+//! `DiffusionWorkspace` solvers on the registry's mid-size graph
 //! (pubmed-like, n ≈ 19.7k) across the operating range of `ε`.
-//!
-//! "Old" is the seed repo's implementation verbatim (hash-map state,
-//! per-push division, per-iteration support rescans), reproduced below —
-//! `laca_diffusion::reference` is *not* used here because it already
-//! adopts the new arithmetic (it exists as a bitwise-parity oracle, not a
-//! perf baseline).
 //!
 //! Besides the console report, this bench writes a machine-readable
 //! `BENCH_diffusion.json` (override the path with `BENCH_DIFFUSION_JSON`)
-//! containing every timing and the derived `speedup/*` ratios, so later
-//! PRs have a perf trajectory to compare against.
+//! containing every timing, so later changes have a perf trajectory to
+//! compare against.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use laca_diffusion::{
-    adaptive_diffuse_in, greedy_diffuse_in, nongreedy_diffuse_in, DiffusionParams, DiffusionResult,
-    DiffusionStats, DiffusionWorkspace, SparseVec,
+    adaptive_diffuse_in, greedy_diffuse_in, nongreedy_diffuse_in, DiffusionParams,
+    DiffusionWorkspace, SparseVec,
 };
 use laca_graph::datasets::pubmed_like;
-use laca_graph::{CsrGraph, NodeId};
-
-// ---- The seed repo's solvers, verbatim (the "old" side). ----
-
-fn old_extract_gamma(graph: &CsrGraph, r: &mut SparseVec, epsilon: f64) -> Vec<(NodeId, f64)> {
-    let mut gamma: Vec<(NodeId, f64)> = Vec::new();
-    for (i, v) in r.iter() {
-        if v / graph.weighted_degree(i) >= epsilon {
-            gamma.push((i, v));
-        }
-    }
-    for &(i, _) in &gamma {
-        r.take(i);
-    }
-    gamma
-}
-
-fn old_push_gamma(
-    graph: &CsrGraph,
-    gamma: &[(NodeId, f64)],
-    alpha: f64,
-    q: &mut SparseVec,
-    r: &mut SparseVec,
-) -> usize {
-    let mut pushes = 0usize;
-    for &(i, v) in gamma {
-        q.add(i, (1.0 - alpha) * v);
-        let spread = alpha * v / graph.weighted_degree(i);
-        for (j, w) in graph.edges_of(i) {
-            r.add(j, spread * w);
-            pushes += 1;
-        }
-    }
-    pushes
-}
-
-fn old_nongreedy_step(graph: &CsrGraph, alpha: f64, q: &mut SparseVec, r: &mut SparseVec) -> usize {
-    let mut pushes = 0usize;
-    let old = std::mem::take(r);
-    for (i, v) in old.iter() {
-        q.add(i, (1.0 - alpha) * v);
-        let spread = alpha * v / graph.weighted_degree(i);
-        for (j, w) in graph.edges_of(i) {
-            r.add(j, spread * w);
-            pushes += 1;
-        }
-    }
-    pushes
-}
-
-fn old_greedy(graph: &CsrGraph, f: &SparseVec, params: &DiffusionParams) -> DiffusionResult {
-    let mut r = f.clone();
-    let mut q = SparseVec::new();
-    let mut stats = DiffusionStats::default();
-    loop {
-        let gamma = old_extract_gamma(graph, &mut r, params.epsilon);
-        if gamma.is_empty() {
-            break;
-        }
-        stats.iterations += 1;
-        stats.push_operations += old_push_gamma(graph, &gamma, params.alpha, &mut q, &mut r);
-    }
-    DiffusionResult { reserve: q, residual: r, stats }
-}
-
-fn old_nongreedy(graph: &CsrGraph, f: &SparseVec, params: &DiffusionParams) -> DiffusionResult {
-    let mut r = f.clone();
-    let mut q = SparseVec::new();
-    let mut stats = DiffusionStats::default();
-    loop {
-        let above = r.iter().any(|(i, v)| v / graph.weighted_degree(i) >= params.epsilon);
-        if !above {
-            break;
-        }
-        stats.iterations += 1;
-        stats.nongreedy_cost += r.volume(graph);
-        stats.push_operations += old_nongreedy_step(graph, params.alpha, &mut q, &mut r);
-    }
-    DiffusionResult { reserve: q, residual: r, stats }
-}
-
-fn old_adaptive(graph: &CsrGraph, f: &SparseVec, params: &DiffusionParams) -> DiffusionResult {
-    let mut r = f.clone();
-    let mut q = SparseVec::new();
-    let mut stats = DiffusionStats::default();
-    let budget = f.l1_norm() / ((1.0 - params.alpha) * params.epsilon);
-    loop {
-        let supp_r = r.support_size();
-        let supp_gamma =
-            r.iter().filter(|&(i, v)| v / graph.weighted_degree(i) >= params.epsilon).count();
-        let ratio = if supp_r == 0 { 0.0 } else { supp_gamma as f64 / supp_r as f64 };
-        let vol_r = r.volume(graph);
-        if ratio > params.sigma && stats.nongreedy_cost + vol_r < budget {
-            stats.iterations += 1;
-            stats.nongreedy_cost += vol_r;
-            stats.push_operations += old_nongreedy_step(graph, params.alpha, &mut q, &mut r);
-        } else {
-            let gamma = old_extract_gamma(graph, &mut r, params.epsilon);
-            if gamma.is_empty() {
-                break;
-            }
-            stats.iterations += 1;
-            stats.push_operations += old_push_gamma(graph, &gamma, params.alpha, &mut q, &mut r);
-        }
-    }
-    DiffusionResult { reserve: q, residual: r, stats }
-}
-
-// ---- The benchmark proper. ----
 
 fn bench_diffusion(c: &mut Criterion) {
     let ds = pubmed_like().generate("pubmed").unwrap();
@@ -140,7 +24,6 @@ fn bench_diffusion(c: &mut Criterion) {
     for eps in [1e-3f64, 1e-4f64, 1e-5f64, 1e-6f64] {
         let params = DiffusionParams::new(0.8, eps);
         let id = format!("{eps:.0e}");
-        // Workspace-based production solvers.
         group.bench_with_input(BenchmarkId::new("greedy", &id), &params, |b, p| {
             b.iter(|| greedy_diffuse_in(&ds.graph, &f, p, &mut ws).unwrap())
         });
@@ -149,16 +32,6 @@ fn bench_diffusion(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("nongreedy", &id), &params, |b, p| {
             b.iter(|| nongreedy_diffuse_in(&ds.graph, &f, p, &mut ws).unwrap())
-        });
-        // The pre-workspace implementations.
-        group.bench_with_input(BenchmarkId::new("greedy_old", &id), &params, |b, p| {
-            b.iter(|| old_greedy(&ds.graph, &f, p))
-        });
-        group.bench_with_input(BenchmarkId::new("adaptive_old", &id), &params, |b, p| {
-            b.iter(|| old_adaptive(&ds.graph, &f, p))
-        });
-        group.bench_with_input(BenchmarkId::new("nongreedy_old", &id), &params, |b, p| {
-            b.iter(|| old_nongreedy(&ds.graph, &f, p))
         });
     }
     group.finish();
@@ -169,40 +42,20 @@ criterion_group!(benches, bench_diffusion);
 fn main() {
     benches();
     let results = criterion::take_results();
-    // Derived old/new ratios, computed from the noise-tolerant trimmed-min times.
-    let min_of = |label: &str| results.iter().find(|r| r.label == label).map(|r| r.tmin_ns as f64);
-    let mut derived: Vec<(String, f64)> = Vec::new();
-    for solver in ["greedy", "adaptive", "nongreedy"] {
-        for eps in ["1e-3", "1e-4", "1e-5", "1e-6"] {
-            let new = min_of(&format!("diffusion/{solver}/{eps}"));
-            let old = min_of(&format!("diffusion/{solver}_old/{eps}"));
-            if let (Some(new), Some(old)) = (new, old) {
-                derived.push((format!("speedup/{solver}/{eps}"), old / new));
-            }
-        }
-    }
     // Default to the workspace root (cargo bench runs with the package as
     // cwd), so the committed perf trajectory lives at the repo top level.
     let path =
         std::env::var("BENCH_DIFFUSION_JSON").map(std::path::PathBuf::from).unwrap_or_else(|_| {
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_diffusion.json")
         });
-    criterion::write_json(&path, &results, &derived).expect("failed to write bench JSON");
+    criterion::write_json(&path, &results, &[]).expect("failed to write bench JSON");
     // This custom main bypasses `criterion_main!`, so honor the generic
     // CRITERION_JSON hook here too (README documents it for every suite).
     if let Ok(generic) = std::env::var("CRITERION_JSON") {
         if !generic.is_empty() {
-            criterion::write_json(std::path::Path::new(&generic), &results, &derived)
+            criterion::write_json(std::path::Path::new(&generic), &results, &[])
                 .expect("failed to write CRITERION_JSON");
         }
     }
-    println!(
-        "\nwrote {} results and {} speedups to {}",
-        results.len(),
-        derived.len(),
-        path.display()
-    );
-    for (k, v) in &derived {
-        println!("{k:<28} {v:.2}x");
-    }
+    println!("\nwrote {} results to {}", results.len(), path.display());
 }

@@ -29,8 +29,8 @@ use crate::extract::top_k_cluster_from_pairs;
 use crate::{CoreError, Tnam};
 use laca_diffusion::workspace::with_thread_workspace;
 use laca_diffusion::{
-    adaptive_run_in, batch_diffuse_in, greedy_run_in, nongreedy_run_in, BatchMode, BatchWorkspace,
-    DiffusionParams, DiffusionStats, DiffusionWorkspace, SparseVec, MAX_LANES,
+    adaptive_run_in, greedy_run_in, nongreedy_run_in, DiffusionParams, DiffusionStats,
+    DiffusionWorkspace, SparseVec,
 };
 use laca_graph::{CsrGraph, NodeId};
 use std::sync::Arc;
@@ -278,9 +278,9 @@ impl<'g> Laca<'g> {
         let pi = ws.reserve_into();
         let mut stats = LacaQueryStats { rwr, rwr_support: pi.len(), ..Default::default() };
 
-        // Step 2: φ'. Iteration runs over ascending node ids — the same
-        // canonical order the batched pipeline uses — so the serial and
-        // batched Step-2 float sequences are identical op for op.
+        // Step 2: φ'. Iteration runs over ascending node ids, so the
+        // Step-2 float sequence (and with it `‖φ'‖₁`) does not depend on
+        // the order Step 1 first touched the nodes in.
         pi.sort_unstable_by_key(|&(i, _)| i);
         let phi = step2_phi(graph, self.tnam_for_query(), pi);
         let phi_l1 = phi.l1_norm();
@@ -378,136 +378,6 @@ impl<'g> Laca<'g> {
             Ok(top_k_cluster_from_pairs(rho, seed, size))
         })
     }
-
-    /// Batched Algo. 4: answers many seeds through shared traversals,
-    /// each **bit-identical** to its serial [`Laca::bdd_with_stats_in`]
-    /// run — same `ρ'` bits, same per-seed iteration/push counts.
-    ///
-    /// Both diffusions (Steps 1 and 3) run on the batched solver
-    /// ([`laca_diffusion::batch`]); Step 2 runs per lane over the same
-    /// ascending-order pairs the serial path uses, reading lane reserves
-    /// straight out of the batch workspace (no intermediate `π'` maps).
-    /// Seeds beyond [`MAX_LANES`] are processed in chunks. Per-seed
-    /// failures (seed out of range) error their own lane only.
-    pub fn bdd_batch_with_stats_in(
-        &self,
-        seeds: &[NodeId],
-        ws: &mut BatchWorkspace,
-    ) -> Vec<Result<(SparseVec, LacaQueryStats), CoreError>> {
-        let mut out = Vec::with_capacity(seeds.len());
-        for chunk in seeds.chunks(MAX_LANES.max(1)) {
-            self.bdd_batch_chunk(chunk, ws, &mut out);
-        }
-        out
-    }
-
-    /// Batched [`Laca::bdd`] on a fresh workspace (bench/tool paths).
-    pub fn bdd_batch(&self, seeds: &[NodeId]) -> Vec<Result<SparseVec, CoreError>> {
-        let mut ws = BatchWorkspace::new();
-        self.bdd_batch_with_stats_in(seeds, &mut ws)
-            .into_iter()
-            .map(|r| r.map(|(rho, _)| rho))
-            .collect()
-    }
-
-    /// One ≤ [`MAX_LANES`]-wide chunk of the batched query path.
-    fn bdd_batch_chunk(
-        &self,
-        seeds: &[NodeId],
-        ws: &mut BatchWorkspace,
-        out: &mut Vec<Result<(SparseVec, LacaQueryStats), CoreError>>,
-    ) {
-        let graph = self.graph.get();
-        let mode = match self.params.backend {
-            DiffusionBackend::Adaptive => BatchMode::Adaptive,
-            DiffusionBackend::Greedy => BatchMode::Greedy,
-            DiffusionBackend::NonGreedy => BatchMode::NonGreedy,
-        };
-        let dp = DiffusionParams {
-            alpha: self.params.alpha,
-            epsilon: self.params.epsilon,
-            sigma: self.params.sigma,
-            record_residuals: false,
-        };
-        let base = out.len();
-        // Per-seed result slots; invalid seeds fail their own lane only.
-        let mut units: Vec<SparseVec> = Vec::with_capacity(seeds.len());
-        let mut lane_of: Vec<usize> = Vec::with_capacity(seeds.len()); // chunk-relative
-        for (i, &seed) in seeds.iter().enumerate() {
-            if seed as usize >= graph.n() {
-                out.push(Err(CoreError::BadParameter("seed node out of range")));
-            } else {
-                out.push(Ok((SparseVec::new(), LacaQueryStats::default())));
-                units.push(SparseVec::unit(seed));
-                lane_of.push(i);
-            }
-        }
-        if units.is_empty() {
-            return;
-        }
-
-        // Step 1 (batched): π' lanes from unit seeds.
-        let unit_refs: Vec<&SparseVec> = units.iter().collect();
-        let eps1 = vec![self.params.epsilon; unit_refs.len()];
-        let rwr_stats = match batch_diffuse_in(graph, &unit_refs, &eps1, &dp, mode, ws) {
-            Ok(stats) => stats,
-            Err(e) => {
-                for &i in &lane_of {
-                    out[base + i] = Err(e.clone().into());
-                }
-                return;
-            }
-        };
-
-        // Step 2 (per lane, ascending order — identical to serial): read
-        // each lane's sorted reserve straight from the workspace and
-        // build φ'. Materialize every φ' before Step 3 re-begins `ws`.
-        let tnam = self.tnam_for_query();
-        let mut pairs: Vec<(NodeId, f64)> = Vec::new();
-        let mut step3_inputs: Vec<SparseVec> = Vec::with_capacity(lane_of.len());
-        let mut step3_eps: Vec<f64> = Vec::with_capacity(lane_of.len());
-        let mut step3_lane_of: Vec<usize> = Vec::with_capacity(lane_of.len());
-        for (k, &i) in lane_of.iter().enumerate() {
-            ws.lane_reserve_sorted_into(k, &mut pairs);
-            let phi = step2_phi(graph, tnam, &pairs);
-            let phi_l1 = phi.l1_norm();
-            if let Ok((_, stats)) = &mut out[base + i] {
-                stats.rwr = rwr_stats[k].clone();
-                stats.rwr_support = ws.lane_support(k);
-                stats.phi_l1 = phi_l1;
-            }
-            if phi_l1 > 0.0 {
-                step3_inputs.push(phi);
-                step3_eps.push(self.params.epsilon * phi_l1);
-                step3_lane_of.push(i);
-            }
-            // phi_l1 == 0: the serial path returns an empty ρ' with
-            // default Step-3 stats — the slot already holds exactly that.
-        }
-        if step3_inputs.is_empty() {
-            return;
-        }
-
-        // Step 3 (batched): diffuse every φ' at its own ε·‖φ'‖₁.
-        let phi_refs: Vec<&SparseVec> = step3_inputs.iter().collect();
-        let bdd_stats = match batch_diffuse_in(graph, &phi_refs, &step3_eps, &dp, mode, ws) {
-            Ok(stats) => stats,
-            Err(e) => {
-                for &i in &step3_lane_of {
-                    out[base + i] = Err(e.clone().into());
-                }
-                return;
-            }
-        };
-        for (k, &i) in step3_lane_of.iter().enumerate() {
-            ws.lane_reserve_sorted_into(k, &mut pairs);
-            let rho = step3_rho(graph, &pairs);
-            if let Ok((slot_rho, stats)) = &mut out[base + i] {
-                *slot_rho = rho;
-                stats.bdd = bdd_stats[k].clone();
-            }
-        }
-    }
 }
 
 /// `ρ'` as `(node, q/d)` pairs, borrowed from a workspace's reserve buffer.
@@ -517,9 +387,9 @@ type RhoPairs<'w> = &'w mut [(NodeId, f64)];
 /// then `φ'_i = max(ψ·z⁽ⁱ⁾, 0) · d(v_i)`; without a TNAM the
 /// identity-SNAS degenerate form `φ'_i = π'_i · d(v_i)`.
 ///
-/// Shared by the serial and batched query paths — both feed pairs in
-/// ascending node order, so per seed the float op sequence (and the `φ'`
-/// map layout, which fixes the `l1_norm` summation order) is identical.
+/// `pairs` arrive in ascending node order, which fixes the float op
+/// sequence and the `φ'` map layout (and with it the `l1_norm` summation
+/// order).
 fn step2_phi(graph: &CsrGraph, tnam: Option<&Tnam>, pairs: &[(NodeId, f64)]) -> SparseVec {
     match tnam {
         Some(tnam) => {
@@ -546,17 +416,6 @@ fn step2_phi(graph: &CsrGraph, tnam: Option<&Tnam>, pairs: &[(NodeId, f64)]) -> 
             phi
         }
     }
-}
-
-/// Final degree normalization of Algo. 4 over a sorted BDD reserve:
-/// `ρ'_i = q_i / d(v_i)`, for the batched path (the serial path rescales
-/// the workspace's pairs in place, with the same division).
-fn step3_rho(graph: &CsrGraph, pairs: &[(NodeId, f64)]) -> SparseVec {
-    let mut rho = SparseVec::new();
-    for &(i, v) in pairs {
-        rho.set(i, v / graph.weighted_degree(i));
-    }
-    rho
 }
 
 // An Arc-built engine must be shareable across a worker pool. If a future
@@ -745,68 +604,5 @@ mod tests {
         let tnam = Tnam::build(&ds.attributes, &TnamConfig::new(8, MetricFn::Cosine)).unwrap();
         let engine = Laca::new(&ds.graph, Some(&tnam), LacaParams::new(1e-4)).unwrap();
         assert!(engine.bdd(10_000).is_err());
-    }
-
-    /// Sorted `(node, bit-pattern)` pairs: equality here is bit-identity.
-    fn rho_bits(v: &laca_diffusion::SparseVec) -> Vec<(NodeId, u64)> {
-        let mut p: Vec<(NodeId, u64)> = v.iter().map(|(i, x)| (i, x.to_bits())).collect();
-        p.sort_unstable();
-        p
-    }
-
-    #[test]
-    fn batched_bdd_is_bit_identical_to_serial() {
-        let ds = dataset();
-        let tnam = Tnam::build(&ds.attributes, &TnamConfig::new(16, MetricFn::Cosine)).unwrap();
-        // 20 seeds > MAX_LANES exercises the chunking path; the repeat
-        // covers duplicate seeds in one batch.
-        let seeds: Vec<NodeId> = (0..19).chain(std::iter::once(3)).collect();
-        for backend in
-            [DiffusionBackend::Adaptive, DiffusionBackend::Greedy, DiffusionBackend::NonGreedy]
-        {
-            let engine =
-                Laca::new(&ds.graph, Some(&tnam), LacaParams::new(1e-4).with_backend(backend))
-                    .unwrap();
-            let mut bws = laca_diffusion::BatchWorkspace::new();
-            let batch = engine.bdd_batch_with_stats_in(&seeds, &mut bws);
-            assert_eq!(batch.len(), seeds.len());
-            let mut sws = laca_diffusion::DiffusionWorkspace::new();
-            for (&seed, got) in seeds.iter().zip(&batch) {
-                let (rho, stats) = engine.bdd_with_stats_in(seed, &mut sws).unwrap();
-                let (brho, bstats) = got.as_ref().unwrap();
-                assert_eq!(bstats, &stats, "seed {seed} stats diverged ({backend:?})");
-                assert_eq!(rho_bits(brho), rho_bits(&rho), "seed {seed} rho bits ({backend:?})");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_bdd_without_snas_matches_serial() {
-        let ds = dataset();
-        let engine = Laca::new(&ds.graph, None, LacaParams::new(1e-4).without_snas()).unwrap();
-        let seeds: Vec<NodeId> = (0..8).collect();
-        let mut bws = laca_diffusion::BatchWorkspace::new();
-        let batch = engine.bdd_batch_with_stats_in(&seeds, &mut bws);
-        let mut sws = laca_diffusion::DiffusionWorkspace::new();
-        for (&seed, got) in seeds.iter().zip(&batch) {
-            let (rho, stats) = engine.bdd_with_stats_in(seed, &mut sws).unwrap();
-            let (brho, bstats) = got.as_ref().unwrap();
-            assert_eq!(bstats, &stats, "seed {seed} stats diverged");
-            assert_eq!(rho_bits(brho), rho_bits(&rho), "seed {seed} rho bits");
-        }
-    }
-
-    #[test]
-    fn batched_bdd_fails_bad_seeds_per_lane() {
-        let ds = dataset();
-        let engine = Laca::new(&ds.graph, None, LacaParams::new(1e-4).without_snas()).unwrap();
-        let seeds = [1, 10_000, 2];
-        let out = engine.bdd_batch(&seeds);
-        assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(CoreError::BadParameter(_))));
-        assert!(out[2].is_ok());
-        // The good lanes still match their serial answers.
-        assert_eq!(rho_bits(out[0].as_ref().unwrap()), rho_bits(&engine.bdd(1).unwrap()));
-        assert_eq!(rho_bits(out[2].as_ref().unwrap()), rho_bits(&engine.bdd(2).unwrap()));
     }
 }

@@ -19,10 +19,9 @@
 //! * two **support bitsets** (`supp(r)` and the above-threshold set `γ`),
 //!   maintained as pushes cross the Eq. 15 threshold — extraction scans
 //!   set bits in ascending node order, so every solver converts and
-//!   pushes `γ` in one *canonical* order. That order is what makes the
-//!   batched solver ([`crate::batch`]) bit-identical per lane: a lane's
-//!   pushes inside the shared node-major sweep are an ascending subset
-//!   of the batch's, which is exactly the serial sequence;
+//!   pushes `γ` in one *canonical* order. Floating-point sums depend on
+//!   push order, so that order is part of every answer's bits: the
+//!   persist golden fixtures and perfbench's bit-identity guard pin it;
 //! * **incremental aggregates** `|supp(r)|`, `|supp(γ)|` and `vol(r)`,
 //!   updated as pushes happen — the AdaptiveDiffuse branch test becomes
 //!   `O(1)` per iteration.

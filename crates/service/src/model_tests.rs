@@ -169,103 +169,6 @@ fn job_queue_close_vs_try_push_no_job_stranded() {
     });
 }
 
-/// The batch-formation drain against a blocked producer: a worker's
-/// head pop plus `try_pop_many` free several slots at once, and every
-/// producer parked on `not_full` must wake — a `notify_one` where the
-/// drain freed more than one slot (or a drain that never notifies)
-/// surfaces as a model deadlock on the producer's join.
-#[test]
-fn job_queue_batch_drain_wakes_blocked_producers() {
-    loom::model(|| {
-        let queue = Arc::new(JobQueue::<u32>::new(2));
-        queue.push(0).unwrap();
-        queue.push(1).unwrap();
-        let q2 = Arc::clone(&queue);
-        // Blocks on the full queue until formation frees a slot.
-        let producer = thread::spawn(move || q2.push(2).is_ok());
-        // The worker-loop protocol: one blocking head pop, then the
-        // non-blocking formation drain.
-        let (head, _closed) = queue.pop_drained().expect("open queue");
-        let mut group = vec![head];
-        let _ = queue.try_pop_many(&mut group, 3);
-        assert!(producer.join().unwrap(), "freed slots must wake the parked producer");
-        // Whatever formation missed is still in the queue: every
-        // admitted job surfaces exactly once, none invented, none lost.
-        let mut rest = Vec::new();
-        let _ = queue.try_pop_many(&mut rest, 3);
-        let mut all: Vec<u32> = group.into_iter().chain(rest).collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2]);
-    });
-}
-
-/// `close` racing batch formation: the head pop and the drain together
-/// must hand out every admitted job exactly once — no job stranded in a
-/// half-formed group — and the drained-through-shutdown flag stays
-/// monotone (once the head pop observes closed, the drain does too).
-#[test]
-fn job_queue_close_vs_batch_drain_strands_nothing() {
-    loom::model(|| {
-        let queue = Arc::new(JobQueue::<u32>::new(4));
-        queue.push(1).unwrap();
-        queue.push(2).unwrap();
-        let q2 = Arc::clone(&queue);
-        let closer = thread::spawn(move || q2.close());
-        let (head, head_closed) = queue.pop_drained().expect("two jobs queued");
-        let mut group = vec![head];
-        let (_extra, drain_closed) = queue.try_pop_many(&mut group, 7);
-        assert_eq!(group, vec![1, 2], "formation hands out every admitted job in order");
-        assert!(
-            !head_closed || drain_closed,
-            "the closed flag is sticky: a post-close head pop implies a post-close drain"
-        );
-        closer.join().unwrap();
-        // Drained + closed: the queue pops `None` forever, on every
-        // schedule — nothing left behind for a worker that already exited.
-        assert!(queue.pop().is_none());
-    });
-}
-
-/// Cancel racing batch-formation drain, over the real queue and reply
-/// protocol: two queued jobs form one group; a canceller flips the
-/// second job's latch while the worker drains, checks each latch once,
-/// and replies per job. Exactly one reply reaches each waiter on every
-/// schedule — zero replies would deadlock the model's `recv`, two would
-/// panic the channel assertion.
-#[test]
-fn job_queue_cancel_vs_batch_drain_exactly_one_reply_per_job() {
-    loom::model(|| {
-        type ModelJob = (Arc<AtomicU32>, mpsc::Sender<bool>);
-        let queue = Arc::new(JobQueue::<ModelJob>::new(2));
-        let cancel = Arc::new(AtomicU32::new(0));
-        let (tx1, rx1) = mpsc::channel();
-        let (tx2, rx2) = mpsc::channel();
-        queue.push((Arc::new(AtomicU32::new(0)), tx1)).expect("open queue");
-        queue.push((Arc::clone(&cancel), tx2)).expect("open queue");
-        let c2 = Arc::clone(&cancel);
-        let canceller = thread::spawn(move || c2.store(1, Ordering::Relaxed));
-        let q2 = Arc::clone(&queue);
-        let worker = thread::spawn(move || {
-            let (head, _) = q2.pop_drained().expect("jobs queued");
-            let mut group = vec![head];
-            let _ = q2.try_pop_many(&mut group, 1);
-            assert_eq!(group.len(), 2, "both queued jobs form one group");
-            for (latch, reply) in group {
-                // The worker-loop protocol: check each latch once at
-                // formation, then send exactly one reply either way.
-                let computed = latch.load(Ordering::Relaxed) == 0;
-                reply.send(computed).expect("waiter alive");
-            }
-        });
-        assert!(rx1.recv().expect("exactly one reply"), "uncancelled batch-mate always computes");
-        // Either verdict is legal for the cancelled job (the store raced
-        // the drain); the invariant is one reply, never zero.
-        let _verdict = rx2.recv().expect("exactly one reply");
-        canceller.join().unwrap();
-        worker.join().unwrap();
-    });
-}
-
 /// Two concurrent misses on one key: exactly one submission leads (and
 /// computes); the other joins the flight or observes the resolved
 /// answer through the under-lock re-check. All waiters receive the

@@ -53,19 +53,6 @@ pub struct ServiceConfig {
     /// is always on — it is a handful of atomic stores per query — so
     /// this knob only sizes the retained window.
     pub spans_per_worker: usize,
-    /// Automatic batch formation: after a worker's blocking dequeue it
-    /// drains up to `batch_max − 1` more already-queued jobs (same
-    /// route/params by construction — one service serves one index;
-    /// expired jobs are excluded and resolve
-    /// [`ServiceError::Expired`]) and answers the group through one
-    /// shared-traversal compute
-    /// ([`laca_core::Laca::bdd_batch_with_stats_in`]), each lane
-    /// bit-identical to its serial answer. `1` (the default) disables
-    /// formation; values are clamped to
-    /// [`laca_diffusion::MAX_LANES`]. Formation never waits for the
-    /// queue to fill — an idle service still answers a lone query at
-    /// single-query latency.
-    pub batch_max: usize,
     /// Seeded fault schedule injected into the worker loop; only
     /// available under `--cfg laca_fault_inject` (the invariant test
     /// suite's build), absent from release builds entirely.
@@ -82,7 +69,6 @@ impl Default for ServiceConfig {
             cache_shards: 8,
             admission: AdmissionPolicy::Block,
             spans_per_worker: 256,
-            batch_max: 1,
             #[cfg(laca_fault_inject)]
             fault_plan: None,
         }
@@ -123,13 +109,6 @@ impl ServiceConfig {
     /// Sets the per-worker flight-recorder span depth.
     pub fn with_spans_per_worker(mut self, spans: usize) -> Self {
         self.spans_per_worker = spans;
-        self
-    }
-
-    /// Sets the automatic batch-formation width (`1` disables; clamped
-    /// to [`laca_diffusion::MAX_LANES`] at service start).
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max;
         self
     }
 
@@ -317,7 +296,6 @@ enum Reply {
 struct Job {
     seed: NodeId,
     reply: Reply,
-    enqueued: Instant,
     /// Absolute deadline; a job dequeued past it is dropped, not
     /// computed.
     deadline: Option<Instant>,
@@ -456,36 +434,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Non-blocking multi-pop — the batch-formation drain. Moves up to
-    /// `max` queued jobs into `out` without waiting (an empty queue
-    /// yields zero jobs, never parks the worker) and reports whether the
-    /// queue was already closed when they were handed out (the whole
-    /// drain happens under one lock acquisition, so the flag covers
-    /// every drained job — [`ServiceStats::drained`] accounting).
-    /// Blocked `push`ers are woken for every freed slot.
-    pub(crate) fn try_pop_many(&self, out: &mut Vec<T>, max: usize) -> (usize, bool) {
-        if max == 0 {
-            return (0, false);
-        }
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut popped = 0;
-        while popped < max {
-            match state.jobs.pop_front() {
-                Some(job) => {
-                    out.push(job);
-                    popped += 1;
-                }
-                None => break,
-            }
-        }
-        if popped > 0 {
-            // More than one slot may have freed; wake every parked pusher
-            // rather than chaining notify_one through each.
-            self.not_full.notify_all();
-        }
-        (popped, state.closed)
-    }
-
     pub(crate) fn close(&self) {
         self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
         self.not_empty.notify_all();
@@ -505,13 +453,7 @@ struct Counters {
     shed: AtomicU64,
     expired: AtomicU64,
     drained: AtomicU64,
-    compute_ns: AtomicU64,
-    compute_samples: AtomicU64,
-    queue_wait_ns: AtomicU64,
-    queue_wait_samples: AtomicU64,
     kernel_pushes: AtomicU64,
-    batches: AtomicU64,
-    batch_jobs: AtomicU64,
 }
 
 impl Counters {
@@ -529,13 +471,7 @@ impl Counters {
             &self.shed,
             &self.expired,
             &self.drained,
-            &self.compute_ns,
-            &self.compute_samples,
-            &self.queue_wait_ns,
-            &self.queue_wait_samples,
             &self.kernel_pushes,
-            &self.batches,
-            &self.batch_jobs,
         ] {
             // ordering: Relaxed store is deliberate — each counter is
             // independent advisory telemetry; a reset needs no ordering
@@ -585,48 +521,18 @@ pub struct ServiceStats {
     /// through shutdown or [`crate::ServiceRouter::drain`] rather than
     /// served in steady state.
     pub drained: u64,
-    /// Total worker compute time, nanoseconds.
-    ///
-    /// **Invariant**: `compute_ns` and [`compute_samples`] are bumped
-    /// together (one sample per computed job), and [`merge`] /
-    /// [`delta_since`] add / subtract the pair in lockstep — so
-    /// [`avg_compute`] is an exact weighted mean across any sequence of
-    /// merges and windowed deltas. Dividing by an unrelated counter
-    /// (e.g. `completed`, which other code paths may bump without
-    /// timing a compute) would skew merged averages; never do that.
-    ///
-    /// [`compute_samples`]: Self::compute_samples
-    /// [`merge`]: Self::merge
-    /// [`delta_since`]: Self::delta_since
-    /// [`avg_compute`]: Self::avg_compute
-    pub compute_ns: u64,
-    /// Samples contributing to [`compute_ns`](Self::compute_ns) — the
-    /// count half of the (sum, count) pair.
-    pub compute_samples: u64,
-    /// Total time jobs spent queued before a worker picked them up.
-    /// Paired with [`queue_wait_samples`](Self::queue_wait_samples)
-    /// under the same (sum, count) invariant as
-    /// [`compute_ns`](Self::compute_ns).
-    pub queue_wait_ns: u64,
-    /// Samples contributing to
-    /// [`queue_wait_ns`](Self::queue_wait_ns).
-    pub queue_wait_samples: u64,
     /// Kernel profile: total diffusion push operations across every
     /// computed query (the paper's cost measure, aggregated fleet-wide).
     pub kernel_pushes: u64,
-    /// Multi-job compute groups formed by the batch-formation drain
-    /// (size ≥ 2; singleton computes ride the serial path and are not
-    /// counted here). `batch_jobs / batches` is the mean formed width.
-    pub batches: u64,
-    /// Jobs answered through those batched computes.
-    pub batch_jobs: u64,
-    /// Log-bucketed distribution of per-job queue wait, nanoseconds.
-    /// The histogram triple replaces "flat sum only" latency telemetry:
-    /// percentiles (p50/p99/p999) survive merging across routes and
-    /// windowing via [`delta_since`](Self::delta_since), which sums
-    /// cannot express.
+    /// Log-bucketed distribution of per-job queue wait, nanoseconds —
+    /// the one source of truth for queue-wait latency. Percentiles
+    /// (p50/p99/p999) and the (sum, count) pair behind
+    /// [`avg_queue_wait`](Self::avg_queue_wait) survive merging across
+    /// routes and windowing via [`delta_since`](Self::delta_since).
     pub queue_wait_hist: HistogramSnapshot,
-    /// Log-bucketed distribution of per-job compute time, nanoseconds.
+    /// Log-bucketed distribution of per-job compute time, nanoseconds
+    /// (one sample per computed job; same role as
+    /// [`queue_wait_hist`](Self::queue_wait_hist)).
     pub compute_hist: HistogramSnapshot,
     /// Log-bucketed distribution of end-to-end latency (admission to
     /// reply) for every finished span — computed, hit, coalesced, shed.
@@ -665,13 +571,7 @@ impl ServiceStats {
         self.expired += other.expired;
         self.retried += other.retried;
         self.drained += other.drained;
-        self.compute_ns += other.compute_ns;
-        self.compute_samples += other.compute_samples;
-        self.queue_wait_ns += other.queue_wait_ns;
-        self.queue_wait_samples += other.queue_wait_samples;
         self.kernel_pushes += other.kernel_pushes;
-        self.batches += other.batches;
-        self.batch_jobs += other.batch_jobs;
         self.queue_wait_hist.merge(&other.queue_wait_hist);
         self.compute_hist.merge(&other.compute_hist);
         self.total_hist.merge(&other.total_hist);
@@ -697,35 +597,27 @@ impl ServiceStats {
             expired: self.expired.saturating_sub(earlier.expired),
             retried: self.retried.saturating_sub(earlier.retried),
             drained: self.drained.saturating_sub(earlier.drained),
-            compute_ns: self.compute_ns.saturating_sub(earlier.compute_ns),
-            compute_samples: self.compute_samples.saturating_sub(earlier.compute_samples),
-            queue_wait_ns: self.queue_wait_ns.saturating_sub(earlier.queue_wait_ns),
-            queue_wait_samples: self.queue_wait_samples.saturating_sub(earlier.queue_wait_samples),
             kernel_pushes: self.kernel_pushes.saturating_sub(earlier.kernel_pushes),
-            batches: self.batches.saturating_sub(earlier.batches),
-            batch_jobs: self.batch_jobs.saturating_sub(earlier.batch_jobs),
             queue_wait_hist: self.queue_wait_hist.delta_since(&earlier.queue_wait_hist),
             compute_hist: self.compute_hist.delta_since(&earlier.compute_hist),
             total_hist: self.total_hist.delta_since(&earlier.total_hist),
         }
     }
 
-    /// Mean compute time per timed compute sample — exact across
+    /// Mean compute time per computed job, from
+    /// [`compute_hist`](Self::compute_hist)'s (sum, count) — exact across
     /// [`merge`](Self::merge)d and [`delta_since`](Self::delta_since)
-    /// windows because the (sum, count) pair travels together (zero
-    /// before any sample).
+    /// windows, because the pair travels together (zero before any
+    /// sample).
     pub fn avg_compute(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(
-            self.compute_ns.checked_div(self.compute_samples).unwrap_or(0),
-        )
+        std::time::Duration::from_nanos(self.compute_hist.mean())
     }
 
-    /// Mean queue wait per timed sample (zero before any sample); same
-    /// (sum, count) contract as [`avg_compute`](Self::avg_compute).
+    /// Mean queue wait per computed job, from
+    /// [`queue_wait_hist`](Self::queue_wait_hist); same contract as
+    /// [`avg_compute`](Self::avg_compute).
     pub fn avg_queue_wait(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(
-            self.queue_wait_ns.checked_div(self.queue_wait_samples).unwrap_or(0),
-        )
+        std::time::Duration::from_nanos(self.queue_wait_hist.mean())
     }
 }
 
@@ -777,9 +669,6 @@ struct Shared {
     telemetry: ServiceTelemetry,
     workspaces: WorkspacePool,
     admission: AdmissionPolicy,
-    /// Batch-formation width a worker drains toward after its blocking
-    /// dequeue (1 = formation off; already clamped to `MAX_LANES`).
-    batch_max: usize,
     /// Workers still running their loop. The last worker to die by an
     /// escaped panic drains the queue on the way out, failing stranded
     /// jobs with [`ServiceError::WorkerLost`] so no waiter hangs.
@@ -868,35 +757,22 @@ impl Shared {
 
     /// Finishes one computed job on worker `wid`: counters, histograms,
     /// span kernel profile, cache insert, reply delivery (direct send or
-    /// flight resolution), span recording. Shared by the serial path
-    /// (`batch == 1`) and every lane of a batched compute — `outcome` is
-    /// the job's own lane result; `compute_ns`/`compute_end_ns` are the
-    /// group's compute window (each lane's span reports the window of
-    /// the traversal that produced it, not a per-lane attribution).
-    #[allow(clippy::too_many_arguments)]
+    /// flight resolution), span recording. The job's span already carries
+    /// its dequeue and compute stamps, so queue wait and compute time are
+    /// read off it.
     fn deliver(
         &self,
         wid: usize,
         job: Job,
         outcome: Result<(SparseVec, LacaQueryStats), ServiceError>,
-        wait_ns: u64,
-        compute_ns: u64,
-        compute_end_ns: u64,
-        batch: u64,
         fingerprint: u64,
     ) {
         let counters = &self.counters;
         let telemetry = &self.telemetry;
-        counters.queue_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        counters.queue_wait_samples.fetch_add(1, Ordering::Relaxed);
-        counters.compute_ns.fetch_add(compute_ns, Ordering::Relaxed);
-        counters.compute_samples.fetch_add(1, Ordering::Relaxed);
-        counters.completed.fetch_add(1, Ordering::Relaxed);
-        telemetry.queue_wait.record(wait_ns);
-        telemetry.compute.record(compute_ns);
         let mut span = job.span;
-        span.compute_end_ns = compute_end_ns;
-        span.batch = batch;
+        counters.completed.fetch_add(1, Ordering::Relaxed);
+        telemetry.queue_wait.record(span.queue_wait_ns());
+        telemetry.compute.record(span.compute_ns());
         let reply: QueryResult = match outcome {
             Ok((rho, stats)) => {
                 // Kernel profile: both diffusions (RWR seed expansion +
@@ -989,7 +865,6 @@ impl QueryService {
             telemetry: ServiceTelemetry::new(workers, config.spans_per_worker),
             workspaces,
             admission: config.admission,
-            batch_max: config.batch_max.clamp(1, laca_diffusion::MAX_LANES),
             live_workers: AtomicUsize::new(workers),
             #[cfg(laca_fault_inject)]
             faults: config.fault_plan,
@@ -1099,7 +974,6 @@ impl QueryService {
                 let job = Job {
                     seed,
                     reply: Reply::Direct(tx),
-                    enqueued: Instant::now(),
                     deadline,
                     cancel: Some(Arc::clone(&cancel)),
                     span: QuerySpan { enqueued_ns: recorder.now_ns(), ..span },
@@ -1154,7 +1028,6 @@ impl QueryService {
                 let job = Job {
                     seed,
                     reply: Reply::Flight,
-                    enqueued: Instant::now(),
                     deadline,
                     cancel: None,
                     span: QuerySpan { enqueued_ns: recorder.now_ns(), ..span },
@@ -1234,13 +1107,7 @@ impl QueryService {
             expired: c.expired.load(Ordering::Relaxed),
             retried: 0,
             drained: c.drained.load(Ordering::Relaxed),
-            compute_ns: c.compute_ns.load(Ordering::Relaxed),
-            compute_samples: c.compute_samples.load(Ordering::Relaxed),
-            queue_wait_ns: c.queue_wait_ns.load(Ordering::Relaxed),
-            queue_wait_samples: c.queue_wait_samples.load(Ordering::Relaxed),
             kernel_pushes: c.kernel_pushes.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batch_jobs: c.batch_jobs.load(Ordering::Relaxed),
             queue_wait_hist: self.shared.telemetry.queue_wait.snapshot(),
             compute_hist: self.shared.telemetry.compute.snapshot(),
             total_hist: self.shared.telemetry.total.snapshot(),
@@ -1278,12 +1145,9 @@ impl QueryService {
     /// after this call — benches use it to measure a warm window without
     /// lifetime-aggregate noise (the gauges — cache entries/capacity,
     /// workers — are unaffected, and the flight-recorder rings keep
-    /// their spans). Histograms reset together with their sample
-    /// counters so the `(sum, count)` lockstep invariant on
-    /// [`ServiceStats`] survives the reset. Increments racing with the
-    /// reset may be lost; quiesce the service first when exact counts
-    /// matter. [`ServiceStats::delta_since`] is the non-destructive
-    /// alternative.
+    /// their spans). Increments racing with the reset may be lost;
+    /// quiesce the service first when exact counts matter.
+    /// [`ServiceStats::delta_since`] is the non-destructive alternative.
     pub fn reset_stats(&self) {
         self.shared.counters.reset();
         self.shared.telemetry.queue_wait.reset();
@@ -1332,7 +1196,7 @@ pub(crate) fn fill_route_metrics(
     recorder: Option<&FlightRecorder>,
 ) {
     let route_label = [("route", route)];
-    let counters: [(&str, &str, u64); 12] = [
+    let counters: [(&str, &str, u64); 10] = [
         (
             "laca_cache_hits_total",
             "Queries answered from the result cache at submit time.",
@@ -1383,12 +1247,6 @@ pub(crate) fn fill_route_metrics(
             "Diffusion push operations across every computed query.",
             stats.kernel_pushes,
         ),
-        (
-            "laca_batches_total",
-            "Multi-job compute groups formed by the batch-formation drain.",
-            stats.batches,
-        ),
-        ("laca_batch_jobs_total", "Jobs answered through batched computes.", stats.batch_jobs),
     ];
     for (name, help, value) in counters {
         registry.counter(name, help, &route_label, value);
@@ -1494,190 +1352,78 @@ fn worker_loop(shared: &Shared, wid: usize) {
     }
     let _exit_guard = ExitGuard(shared);
 
-    /// Resolves every flight key of the in-progress compute group with
-    /// an error if processing unwinds past the per-query containment
-    /// (e.g. a poisoned cache shard): without this, the coalesced
-    /// waiters' senders stay parked in the in-flight table and every
-    /// waiter blocks until service drop. On the normal path the worker
-    /// resolves each key first, so the drop-time resolves are no-ops
-    /// (the entries are already gone). The unwind means this worker is
-    /// dying, so the waiters' error is `WorkerLost` (a panic contained
-    /// *inside* a query stays `QueryPanicked`) — a worker dying
-    /// mid-batch resolves every lane of its group.
+    /// Resolves the in-progress flight's key with an error if processing
+    /// unwinds past the per-query containment (e.g. a poisoned cache
+    /// shard): without this, the coalesced waiters' senders stay parked
+    /// in the in-flight table and every waiter blocks until service drop.
+    /// On the normal path the worker resolves first, so this drop-time
+    /// resolve is a no-op (the entry is already gone). The unwind means
+    /// this worker is dying, so the waiters' error is `WorkerLost` (a
+    /// panic contained *inside* a query stays `QueryPanicked`).
     struct ResolveOnUnwind<'a> {
         shared: &'a Shared,
-        keys: &'a [CacheKey],
+        /// The job's flight key; `None` for direct-reply jobs.
+        key: Option<CacheKey>,
     }
     impl Drop for ResolveOnUnwind<'_> {
         fn drop(&mut self) {
             if std::thread::panicking() {
-                if let Some(inflight) = &self.shared.inflight {
-                    for key in self.keys {
-                        inflight.resolve(key, Err(ServiceError::WorkerLost));
-                    }
+                if let (Some(key), Some(inflight)) = (&self.key, &self.shared.inflight) {
+                    inflight.resolve(key, Err(ServiceError::WorkerLost));
                 }
             }
         }
-    }
-
-    /// What one compute group produced: the serial engine call (group of
-    /// one — no per-call `Vec`, preserving the allocation-free steady
-    /// state) or the batched solver's per-lane results.
-    enum Computed {
-        One(Result<(SparseVec, LacaQueryStats), CoreError>),
-        Many(Vec<Result<(SparseVec, LacaQueryStats), CoreError>>),
     }
 
     let engine = shared.index.engine();
     let fingerprint = shared.index.fingerprint();
     let mut workspace = shared.workspaces.checkout();
-    // The batched solver's lane-major workspace, created on the first
-    // formed batch only — a batch_max=1 service never allocates it.
-    let mut batch_ws: Option<laca_diffusion::BatchWorkspace> = None;
-    // Reused across iterations; steady state allocates nothing here.
-    let mut formed: Vec<Job> = Vec::with_capacity(shared.batch_max);
-    let mut ready: Vec<Job> = Vec::with_capacity(shared.batch_max);
-    let mut flight_keys: Vec<CacheKey> = Vec::with_capacity(shared.batch_max);
-    let mut seeds: Vec<NodeId> = Vec::with_capacity(shared.batch_max);
-    let mut waits: Vec<u64> = Vec::with_capacity(shared.batch_max);
-    let telemetry = &shared.telemetry;
-    while let Some((job, drained)) = shared.queue.pop_drained() {
-        // Batch formation: one blocking dequeue, then a non-blocking
-        // drain of up to `batch_max − 1` more already-queued jobs. All
-        // jobs of one service share a route and params by construction,
-        // so every drained job is batch-compatible; formation never
-        // waits for more work to arrive.
-        formed.push(job);
-        let mut drained_jobs = u64::from(drained);
-        if shared.batch_max > 1 {
-            let (extra, closed) = shared.queue.try_pop_many(&mut formed, shared.batch_max - 1);
-            if closed {
-                drained_jobs += extra as u64;
-            }
+    let recorder = &shared.telemetry.recorder;
+    while let Some((mut job, drained)) = shared.queue.pop_drained() {
+        job.span.dequeued_ns = recorder.now_ns();
+        if drained {
+            shared.counters.drained.fetch_add(1, Ordering::Relaxed);
         }
-        let dequeued_ns = telemetry.recorder.now_ns();
-        for job in &mut formed {
-            job.span.dequeued_ns = dequeued_ns;
-        }
-        if drained_jobs > 0 {
-            shared.counters.drained.fetch_add(drained_jobs, Ordering::Relaxed);
-        }
-        // Deadline/cancel check at formation: expired work is dropped,
+        // Deadline/cancel check at dequeue: expired work is dropped,
         // never computed — under overload, queued time eats the
         // deadline, and computing a dead query would only push the next
-        // one past its deadline too. A job expiring mid-formation is
-        // excluded from the group and resolves `Expired` here.
-        for job in formed.drain(..) {
-            if job.expired() {
-                shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-                shared.fail_job(job, ServiceError::Expired, Some(wid));
-            } else {
-                ready.push(job);
-            }
+        // one past its deadline too.
+        if job.expired() {
+            shared.counters.expired.fetch_add(1, Ordering::Relaxed);
+            shared.fail_job(job, ServiceError::Expired, Some(wid));
+            continue;
         }
-        flight_keys.clear();
-        flight_keys.extend(
-            ready
-                .iter()
-                .filter(|job| matches!(job.reply, Reply::Flight))
-                .map(|job| (job.seed, fingerprint)),
-        );
-        let _resolve_on_unwind = ResolveOnUnwind { shared, keys: &flight_keys };
+        let _resolve_on_unwind = ResolveOnUnwind {
+            shared,
+            key: matches!(job.reply, Reply::Flight).then_some((job.seed, fingerprint)),
+        };
         #[cfg(laca_fault_inject)]
         if let Some(faults) = &shared.faults {
             // Site 1 (stall the worker), then site 2 (kill it) — the
             // kill panics past the containment below; `ResolveOnUnwind`
-            // is already armed with the whole group's flight keys, so
-            // every lane's waiters still resolve.
+            // is already armed, so flight waiters still resolve.
             faults.stall_point();
             faults.worker_kill_point();
         }
-        if ready.is_empty() {
-            continue;
-        }
-        let compute_start_ns = telemetry.recorder.now_ns();
-        waits.clear();
-        for job in &mut ready {
-            job.span.compute_start_ns = compute_start_ns;
-            waits.push(job.enqueued.elapsed().as_nanos() as u64);
-        }
-        seeds.clear();
-        seeds.extend(ready.iter().map(|job| job.seed));
-        let started = Instant::now();
-        // Contain per-group panics: one poisoned group must not take the
-        // worker (and with it the whole service) down. The workspaces
-        // are safe to reuse afterwards — `begin` epoch-invalidates all
-        // slot state and clears every list at the next compute.
+        job.span.compute_start_ns = recorder.now_ns();
+        // Contain per-query panics: one poisoned query must not take the
+        // worker (and with it the whole service) down. The workspace is
+        // safe to reuse afterwards — `begin` epoch-invalidates all slot
+        // state and clears every list at the next query.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             #[cfg(laca_fault_inject)]
             if let Some(faults) = &shared.faults {
-                // Sites 3 and 4: slow the group down / fail it in a
+                // Sites 3 and 4: slow the query down / fail it in a
                 // contained panic.
                 faults.compute_point();
             }
-            if seeds.len() == 1 {
-                Computed::One(engine.bdd_with_stats_in(seeds[0], &mut workspace))
-            } else {
-                Computed::Many(engine.bdd_batch_with_stats_in(
-                    &seeds,
-                    batch_ws.get_or_insert_with(laca_diffusion::BatchWorkspace::new),
-                ))
-            }
+            engine.bdd_with_stats_in(job.seed, &mut workspace)
         }));
-        let compute_ns = started.elapsed().as_nanos() as u64;
-        let compute_end_ns = telemetry.recorder.now_ns();
-        let width = ready.len() as u64;
-        if width >= 2 {
-            shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-            shared.counters.batch_jobs.fetch_add(width, Ordering::Relaxed);
-        }
-        match result {
-            Ok(Computed::One(r)) => {
-                let job = ready.pop().expect("group of one");
-                let outcome = r.map_err(ServiceError::Core);
-                shared.deliver(
-                    wid,
-                    job,
-                    outcome,
-                    waits[0],
-                    compute_ns,
-                    compute_end_ns,
-                    1,
-                    fingerprint,
-                );
-            }
-            Ok(Computed::Many(results)) => {
-                debug_assert_eq!(results.len(), width as usize);
-                for ((job, r), &wait_ns) in ready.drain(..).zip(results).zip(&waits) {
-                    let outcome = r.map_err(ServiceError::Core);
-                    shared.deliver(
-                        wid,
-                        job,
-                        outcome,
-                        wait_ns,
-                        compute_ns,
-                        compute_end_ns,
-                        width,
-                        fingerprint,
-                    );
-                }
-            }
-            // The whole group panicked together (one traversal): every
-            // lane fails `QueryPanicked`; the worker survives.
-            Err(_panic) => {
-                for (job, &wait_ns) in ready.drain(..).zip(&waits) {
-                    shared.deliver(
-                        wid,
-                        job,
-                        Err(ServiceError::QueryPanicked),
-                        wait_ns,
-                        compute_ns,
-                        compute_end_ns,
-                        width,
-                        fingerprint,
-                    );
-                }
-            }
-        }
+        job.span.compute_end_ns = recorder.now_ns();
+        let outcome = match result {
+            Ok(r) => r.map_err(ServiceError::Core),
+            Err(_panic) => Err(ServiceError::QueryPanicked),
+        };
+        shared.deliver(wid, job, outcome, fingerprint);
     }
 }

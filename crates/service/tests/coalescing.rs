@@ -198,7 +198,7 @@ fn reset_stats_starts_a_clean_window() {
     }
     let lifetime = service.stats();
     assert_eq!(lifetime.cache_misses, 10);
-    assert!(lifetime.compute_ns > 0);
+    assert!(lifetime.compute_hist.sum > 0);
 
     service.reset_stats();
     let zeroed = service.stats();
@@ -206,7 +206,7 @@ fn reset_stats_starts_a_clean_window() {
         (zeroed.cache_hits, zeroed.cache_misses, zeroed.coalesced, zeroed.completed),
         (0, 0, 0, 0)
     );
-    assert_eq!((zeroed.compute_ns, zeroed.queue_wait_ns, zeroed.errors), (0, 0, 0));
+    assert_eq!((zeroed.compute_hist.sum, zeroed.queue_wait_hist.sum, zeroed.errors), (0, 0, 0));
     // Gauges survive the reset.
     assert_eq!(zeroed.cache_entries, 10);
     assert_eq!(zeroed.workers, 2);
@@ -277,8 +277,8 @@ fn delta_since_saturates_across_a_reset_race() {
     // monotonic field saturates at zero instead of wrapping...
     assert_eq!(window.completed, 0);
     assert_eq!(window.cache_misses, 0);
-    assert_eq!(window.compute_ns, 0);
-    assert_eq!(window.queue_wait_ns, 0);
+    assert_eq!(window.compute_hist.sum, 0);
+    assert_eq!(window.queue_wait_hist.sum, 0);
     // ...fields that genuinely grew in the window still show their
     // growth (8 warm hits against a hit-free `before`)...
     assert_eq!(window.cache_hits, 8);

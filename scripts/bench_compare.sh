@@ -30,9 +30,7 @@ trap 'rm -rf "$out"' EXIT
 # where queueing noise dominates — widest threshold of all.
 threshold_for() {
     case "$1" in
-        # `batch` includes end-to-end serving legs, so it shares the
-        # serving suite's headroom.
-        serving | routing | batch) echo "2.5" ;;
+        serving | routing) echo "2.5" ;;
         overload) echo "3.0" ;;
         *) echo "2.0" ;;
     esac
@@ -49,7 +47,7 @@ metric_for() {
 }
 
 status=0
-for suite in diffusion batch serving tnam routing overload persist; do
+for suite in diffusion serving tnam routing overload persist; do
     baseline="BENCH_${suite}.json"
     if [[ ! -f "$baseline" ]]; then
         echo "skipping $suite: no committed $baseline"

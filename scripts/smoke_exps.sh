@@ -45,7 +45,6 @@ run exp_table9_nonattr --seeds 2 --scale 0.02 --datasets com-dblp
 run exp_table10_bdd_variants "${common[@]}"
 run exp_table11_similarity "${common[@]}"
 run exp_serving --seeds 6 --scale 0.02 --datasets arxiv
-run exp_batch --seeds 6 --scale 0.02 --datasets arxiv
 run exp_routing --seeds 6 --scale 0.02 --datasets arxiv
 run exp_overload --seeds 6 --scale 0.02 --datasets arxiv
 run exp_telemetry --seeds 6 --scale 0.02 --datasets arxiv
