@@ -12,7 +12,8 @@
 //! conditioned on the seed; following the paper's placement of AttriRank
 //! in the "attribute similarity" group, the per-seed score is
 //! `rank(v) · cos(x⁽ˢ⁾, x⁽ᵛ⁾)` — the global importance weighted by the
-//! attribute match with the seed (documented adaptation; DESIGN.md §2).
+//! attribute match with the seed (an adaptation for the local protocol,
+//! not part of the original AttriRank).
 
 use crate::{BaselineError, Score};
 use laca_graph::{AttributeMatrix, CsrGraph, NodeId};

@@ -3,7 +3,7 @@
 //!
 //! CFANE fuses a topology channel and an attribute channel into one
 //! embedding. We implement the fusion skeleton without the deep
-//! attention stack (DESIGN.md §2): the topology channel is a rank-`k`
+//! attention stack: the topology channel is a rank-`k`
 //! spectral embedding of the normalized adjacency
 //! `Â = D^{−1/2} A D^{−1/2}` (randomized SVD over its sparse rows); the
 //! attribute channel is the rank-`k` SVD of `X`; the channels are

@@ -9,7 +9,7 @@
 //! | Network embedding | Node2Vec, SAGE, PANE, CFANE (each with K-NN / k-means "SC" / DBSCAN extraction) | [`node2vec`], [`sage`], [`pane`], [`cfane`], [`embed_cluster`] |
 //!
 //! The learned-embedding baselines are faithful-but-simplified versions
-//! (documented per module and in DESIGN.md §2); everything else follows the
+//! (each module's doc records its simplification); everything else follows the
 //! published algorithms.
 //!
 //! All methods expose a *score → cluster* interface compatible with the

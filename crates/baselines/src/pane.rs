@@ -7,8 +7,7 @@
 //! (randomized SVD, as PANE's own initialization does), then apply the RWR
 //! smoother `F = Σ_{ℓ=0}^{L} (1−α)·αˡ·Pˡ·X̂` and L2-normalize rows.
 //! (PANE's joint forward/backward factorization and greedy seeding are
-//! engineering refinements of this same affinity; the simplification is
-//! recorded in DESIGN.md §2.)
+//! engineering refinements of this same affinity, left out here.)
 
 use crate::BaselineError;
 use laca_graph::{AttributeMatrix, CsrGraph, NodeId};

@@ -5,8 +5,8 @@
 //! after each layer. Weights are Xavier-initialized from a seeded RNG and
 //! left untrained — *random-weight GraphSAGE*, a standard strong baseline
 //! for unsupervised settings (training a full unsupervised loss would add
-//! stochastic-optimization noise without changing the comparison; the
-//! simplification is recorded in DESIGN.md §2). The attribute compression
+//! stochastic-optimization noise without changing the comparison). The
+//! attribute compression
 //! replaces the raw `d`-dimensional bag-of-words input, exactly as large-
 //! scale SAGE deployments do.
 

@@ -1,12 +1,12 @@
 //! Shared plumbing for the experiment binaries (one binary per paper table
-//! or figure; see DESIGN.md §4 for the index).
+//! or figure; each binary's module doc names the one it reproduces).
 //!
 //! Every binary accepts:
 //!
 //! * `--seeds N` — seed nodes per dataset (paper: 500; defaults here are
 //!   smaller so the whole suite finishes on a laptop),
 //! * `--scale X` — multiplier on the registry's default dataset scale
-//!   factors (1.0 = the documented defaults; see EXPERIMENTS.md),
+//!   factors (1.0 = [`laca_graph::datasets::default_scale`]),
 //! * `--datasets a,b,c` — restrict to named datasets,
 //! * `--out DIR` — also write CSVs (default `results/`).
 
@@ -33,7 +33,22 @@ pub struct ExpArgs {
 
 impl ExpArgs {
     /// Parses `std::env::args`, with a default seed count per binary.
+    /// Malformed input — an unknown flag, a missing value, or a value that
+    /// does not parse — prints the error and exits with status 2, so a run
+    /// never measures something other than what was asked.
     pub fn parse(default_seeds: usize) -> ExpArgs {
+        ExpArgs::parse_from(std::env::args().skip(1), default_seeds).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` (without the program name). The error names the
+    /// offending flag.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_seeds: usize,
+    ) -> Result<ExpArgs, String> {
         let mut out = ExpArgs {
             seeds: default_seeds,
             scale: 1.0,
@@ -41,44 +56,27 @@ impl ExpArgs {
             out_dir: PathBuf::from("results"),
             param: None,
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let take = |i: &mut usize| -> Option<String> {
-                *i += 1;
-                args.get(*i).cloned()
-            };
-            match args[i].as_str() {
-                "--seeds" => {
-                    if let Some(v) = take(&mut i) {
-                        out.seeds = v.parse().unwrap_or(out.seeds);
-                    }
-                }
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--seeds" => out.seeds = parse_value(&flag, &value()?)?,
                 "--scale" => {
-                    if let Some(v) = take(&mut i) {
-                        out.scale = v.parse().unwrap_or(out.scale);
+                    let v = value()?;
+                    out.scale = parse_value(&flag, &v)?;
+                    if !(out.scale.is_finite() && out.scale > 0.0) {
+                        return Err(format!("{flag} must be a positive number, got '{v}'"));
                     }
                 }
                 "--datasets" => {
-                    if let Some(v) = take(&mut i) {
-                        out.datasets = v.split(',').map(|s| s.trim().to_string()).collect();
-                    }
+                    out.datasets = value()?.split(',').map(|s| s.trim().to_string()).collect();
                 }
-                "--out" => {
-                    if let Some(v) = take(&mut i) {
-                        out.out_dir = PathBuf::from(v);
-                    }
-                }
-                "--param" => {
-                    out.param = take(&mut i);
-                }
-                other => {
-                    eprintln!("warning: ignoring unknown argument {other}");
-                }
+                "--out" => out.out_dir = PathBuf::from(value()?),
+                "--param" => out.param = Some(value()?),
+                _ => return Err(format!("unknown argument {flag}")),
             }
-            i += 1;
         }
-        out
+        Ok(out)
     }
 
     /// The dataset list to use: the CLI filter, or the given default.
@@ -89,6 +87,10 @@ impl ExpArgs {
             self.datasets.clone()
         }
     }
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag}: cannot parse '{value}'"))
 }
 
 /// Generates a registry dataset at `default_scale × extra_scale` — or
@@ -120,4 +122,58 @@ pub fn load_dataset(name: &str, extra_scale: f64) -> AttributedDataset {
 /// Prints a section header in the experiment binaries' output.
 pub fn banner(title: &str) {
     println!("\n==== {title} ====");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ExpArgs, String> {
+        ExpArgs::parse_from(args.iter().map(|a| a.to_string()), 7)
+    }
+
+    #[test]
+    fn accepts_the_smoke_script_arguments() {
+        let args = parse(&[]).unwrap();
+        assert_eq!((args.seeds, args.scale), (7, 1.0));
+        assert_eq!(args.out_dir, PathBuf::from("results"));
+        assert_eq!(args.param, None);
+        let args = parse(&["--seeds", "2", "--scale", "0.02", "--datasets", "arxiv", "--out", "o"])
+            .unwrap();
+        assert_eq!(args.seeds, 2);
+        assert_eq!(args.scale, 0.02);
+        assert_eq!(args.datasets, ["arxiv"]);
+        assert_eq!(args.out_dir, PathBuf::from("o"));
+        let args = parse(&["--seeds", "1", "--out", "o"]).unwrap();
+        assert_eq!((args.seeds, args.scale), (1, 1.0));
+        assert!(args.datasets.is_empty());
+    }
+
+    #[test]
+    fn bad_values_are_errors_naming_the_flag() {
+        for (args, flag) in [
+            (&["--seeds", "abc"][..], "--seeds"),
+            (&["--scale", "x"][..], "--scale"),
+            (&["--scale", "0"][..], "--scale"),
+            (&["--scale", "NaN"][..], "--scale"),
+            (&["--seeds", "-3"][..], "--seeds"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        let err = parse(&["--sede", "4"]).unwrap_err();
+        assert!(err.contains("--sede"), "{err}");
+    }
+
+    #[test]
+    fn missing_values_are_errors() {
+        for flag in ["--seeds", "--scale", "--datasets", "--out", "--param"] {
+            let err = parse(&["--seeds", "3", flag]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("needs a value"), "{err}");
+        }
+    }
 }

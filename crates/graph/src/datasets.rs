@@ -7,8 +7,8 @@
 //! paper's, and whose *noise regime* matches the paper's qualitative
 //! description (ground-truth conductance in Table VII, which methods do
 //! well in Table V). The three largest graphs are scaled down by a
-//! `scale` factor (documented per entry and in EXPERIMENTS.md) so the full
-//! benchmark suite completes on a laptop.
+//! `scale` factor (the experiment binaries' defaults are in
+//! [`default_scale`]) so the full benchmark suite completes on a laptop.
 
 use crate::gen::{AttributeSpec, AttributedGraphSpec};
 use crate::{AttributeMatrix, CsrGraph, NodeId};
@@ -229,12 +229,14 @@ pub fn yelp_like(scale: f64) -> AttributedGraphSpec {
 /// Reddit-like post network, scaled (paper: n=232 965, m/n=49.82, d=602,
 /// |Ys|=9 418, conductance 0.226): dense and structurally clean — both
 /// structure and attribute methods do well, diffusion methods especially.
+/// Unlike the other entries, `avg_degree` is the paper's `m/n` rather than
+/// `2·m/n`: half the paper's density.
 pub fn reddit_like(scale: f64) -> AttributedGraphSpec {
     let n = scaled(232_965, scale);
     AttributedGraphSpec {
         n,
         n_clusters: 24,
-        avg_degree: 49.8, // half the paper's density, documented in EXPERIMENTS.md
+        avg_degree: 49.8, // half the paper's density (see the doc above)
         p_intra: 0.82,
         missing_intra: 0.06,
         degree_exponent: 2.3,
@@ -374,7 +376,8 @@ pub const ATTRIBUTED_NAMES: [&str; 8] =
 pub const NON_ATTRIBUTED_NAMES: [&str; 3] = ["com-dblp", "com-amazon", "com-orkut"];
 
 /// Default scale factors used by the experiment binaries for the large
-/// graphs (small graphs are full-size). Documented in EXPERIMENTS.md.
+/// graphs (small graphs are full-size). Each entry's doc gives the paper's
+/// full-size statistics the factor scales down.
 pub fn default_scale(name: &str) -> f64 {
     match name.to_ascii_lowercase().as_str() {
         "arxiv" | "arxiv-like" => 0.25,

@@ -10,7 +10,8 @@
 //! * [`gen`] — synthetic attributed-graph generators (degree-corrected
 //!   planted partitions with per-cluster topic models and tunable structural
 //!   noise). These replace the paper's real datasets, which are not available
-//!   offline; see DESIGN.md §2 for the substitution argument.
+//!   offline; each [`datasets`] entry documents the paper statistics and
+//!   noise regime it matches.
 //! * [`datasets`] — a registry of named generator configurations mirroring
 //!   the statistics of the paper's 8 attributed and 3 non-attributed
 //!   datasets (Table III and Table VIII).

@@ -287,9 +287,11 @@ impl ServiceRouter {
     /// let answer = handle.wait().unwrap();
     /// assert!(answer.rho.support_size() > 0);
     ///
-    /// // Retiring a route fails later submissions fast.
+    /// // Retiring a route fails later submissions fast; the other route
+    /// // keeps serving.
     /// assert!(router.retire(&coarse));
     /// assert!(router.submit(&coarse, 0).is_err());
+    /// assert!(router.submit(&fine, 1).unwrap().wait().is_ok());
     /// ```
     pub fn submit(&self, key: &RouteKey, seed: NodeId) -> Result<QueryHandle, RouterError> {
         self.submit_with(key, seed, &QueryOptions::default())

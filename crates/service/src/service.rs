@@ -22,6 +22,16 @@ use std::collections::VecDeque;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Lock shards of the result cache: enough that worker threads and
+/// submitters rarely contend on one shard at the worker counts served.
+const CACHE_SHARDS: usize = 8;
+
+/// Flight-recorder depth: finished [`QuerySpan`]s each worker's ring
+/// retains (the shared submit-path ring gets the same depth). Span
+/// recording is always on — a handful of atomic stores per query — so
+/// this only sizes the retained window.
+const SPANS_PER_WORKER: usize = 256;
+
 /// Tuning knobs for a [`QueryService`]. `Default` is a reasonable
 /// embedded setup: one worker per hardware thread, a 1 024-deep queue,
 /// and a per-worker result-cache budget of 512 answers.
@@ -41,18 +51,10 @@ pub struct ServiceConfig {
     /// provisioning more workers also grows the aggregate cache). `0`
     /// disables caching entirely.
     pub cache_per_worker: usize,
-    /// Lock shards of the result cache (≥ 1; more shards, less contention).
-    pub cache_shards: usize,
     /// What `submit` does when the queue is at capacity: park the
     /// submitter ([`AdmissionPolicy::Block`], the default) or shed load
     /// with [`ServiceError::Overloaded`] (see [`AdmissionPolicy`]).
     pub admission: AdmissionPolicy,
-    /// Flight-recorder depth: how many finished [`QuerySpan`]s each
-    /// worker's ring retains (rounded up to a power of two, minimum 1;
-    /// the shared submit-path ring gets the same depth). Span recording
-    /// is always on — it is a handful of atomic stores per query — so
-    /// this knob only sizes the retained window.
-    pub spans_per_worker: usize,
     /// Seeded fault schedule injected into the worker loop; only
     /// available under `--cfg laca_fault_inject` (the invariant test
     /// suite's build), absent from release builds entirely.
@@ -66,9 +68,7 @@ impl Default for ServiceConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             queue_capacity: 1024,
             cache_per_worker: 512,
-            cache_shards: 8,
             admission: AdmissionPolicy::Block,
-            spans_per_worker: 256,
             #[cfg(laca_fault_inject)]
             fault_plan: None,
         }
@@ -94,21 +94,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the cache shard count.
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards;
-        self
-    }
-
     /// Sets the overload-admission policy.
     pub fn with_admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = policy;
-        self
-    }
-
-    /// Sets the per-worker flight-recorder span depth.
-    pub fn with_spans_per_worker(mut self, spans: usize) -> Self {
-        self.spans_per_worker = spans;
         self
     }
 
@@ -645,9 +633,9 @@ struct ServiceTelemetry {
 }
 
 impl ServiceTelemetry {
-    fn new(workers: usize, spans_per_worker: usize) -> Self {
+    fn new(workers: usize) -> Self {
         ServiceTelemetry {
-            recorder: FlightRecorder::new(workers, spans_per_worker),
+            recorder: FlightRecorder::new(workers, SPANS_PER_WORKER),
             queue_wait: LogHistogram::new(),
             compute: LogHistogram::new(),
             total: LogHistogram::new(),
@@ -852,8 +840,7 @@ impl QueryService {
     pub fn start(index: ClusterIndex, config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
         let cache_capacity = workers * config.cache_per_worker;
-        let cache =
-            (cache_capacity > 0).then(|| ShardedCache::new(cache_capacity, config.cache_shards));
+        let cache = (cache_capacity > 0).then(|| ShardedCache::new(cache_capacity, CACHE_SHARDS));
         let inflight = cache.as_ref().map(|_| InFlightTable::new());
         let workspaces = WorkspacePool::for_graph(index.graph(), workers);
         let shared = Arc::new(Shared {
@@ -862,7 +849,7 @@ impl QueryService {
             cache,
             inflight,
             counters: Counters::default(),
-            telemetry: ServiceTelemetry::new(workers, config.spans_per_worker),
+            telemetry: ServiceTelemetry::new(workers),
             workspaces,
             admission: config.admission,
             live_workers: AtomicUsize::new(workers),
@@ -1114,9 +1101,8 @@ impl QueryService {
         }
     }
 
-    /// The service's flight recorder: the last
-    /// [`ServiceConfig::spans_per_worker`] finished [`QuerySpan`]s per
-    /// worker (plus the submit-path ring). Use
+    /// The service's flight recorder: the last 256 finished
+    /// [`QuerySpan`]s per worker (plus the submit-path ring). Use
     /// [`FlightRecorder::snapshot`] for the merged "what just happened"
     /// timeline.
     pub fn flight_recorder(&self) -> &FlightRecorder {

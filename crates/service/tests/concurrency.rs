@@ -6,7 +6,7 @@ use laca_core::tnam::TnamConfig;
 use laca_core::{Laca, LacaParams, MetricFn, Tnam};
 use laca_graph::gen::{AttributeSpec, AttributedGraphSpec};
 use laca_graph::{AttributedDataset, NodeId};
-use laca_service::{ClusterIndex, QueryService, ServiceConfig, ServiceError};
+use laca_service::{ClusterIndex, QueryService, ServiceConfig, ServiceError, SpanOutcome};
 use std::sync::Arc;
 
 fn dataset() -> AttributedDataset {
@@ -136,6 +136,19 @@ fn cache_hits_return_the_same_answer_and_count_in_stats() {
     assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     assert_eq!(stats.cache_entries, 10);
     assert!(stats.compute_hist.sum > 0);
+    // The histograms sample exactly what the counters count: one
+    // queue-wait and one compute sample per computed job, none per hit.
+    assert_eq!(stats.compute_hist.count, stats.completed, "compute histogram count");
+    assert_eq!(stats.queue_wait_hist.count, stats.completed, "queue-wait histogram count");
+    // The flight recorder holds both sides of the mixed workload: hits
+    // from the submit-path ring, computes from the worker rings. A
+    // worker records its span just after replying, so only each worker's
+    // last compute can still be unrecorded here; 10 computes over 2
+    // workers leave at least 8 in the rings.
+    let outcomes: Vec<SpanOutcome> =
+        service.flight_recorder().snapshot(64).iter().map(|span| span.outcome).collect();
+    assert!(outcomes.contains(&SpanOutcome::Hit), "no hit span in {outcomes:?}");
+    assert!(outcomes.contains(&SpanOutcome::Computed), "no computed span in {outcomes:?}");
 }
 
 #[test]

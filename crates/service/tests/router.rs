@@ -166,6 +166,15 @@ fn retire_under_traffic_drains_inflight_and_fails_new_submissions() {
         let answer = h.wait().expect("in-flight query dropped by retirement");
         assert_eq!(answer.seed, s as NodeId);
     }
+
+    // The retired route's series outlive it: the exposition renders its
+    // archived counters and latency summary, so a scraper never sees
+    // them vanish.
+    let rendered = router.telemetry().render_text();
+    let label = format!("{{route=\"{key}\"}}");
+    for series in ["laca_completed_total", "laca_compute_seconds_count"] {
+        assert!(rendered.contains(&format!("{series}{label}")), "{series} not archived");
+    }
 }
 
 #[test]

@@ -15,7 +15,8 @@
 //! monotonic span-id sequence, and the time epoch all stamps are
 //! relative to. [`FlightRecorder::snapshot`] merges the last N spans
 //! across rings on demand — the "what was in flight when it tripped"
-//! view the fault tests and the `exp_telemetry` timeline table print.
+//! view (`laca-service`'s concurrency tests check it holds both hit and
+//! computed spans after a mixed workload).
 //!
 //! # Ring protocol
 //!

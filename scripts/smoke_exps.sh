@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke-runs every experiment binary at tiny --scale/--seeds so that
 # table/figure regressions surface in CI long before anyone runs the full
-# suite (ROADMAP: "exp_* binaries are unsmoked").
+# suite. Every `crates/bench/src/bin/exp_*.rs` must have a `run` line
+# below: the script fails at the end if one was skipped, so a new paper
+# binary cannot go unsmoked.
 #
 # Dataset choice: `arxiv` (and `com-dblp` for the non-attributed Table IX
 # run) because their registry entries are scale-able — at `--scale 0.02`
@@ -15,10 +17,13 @@ set -euo pipefail
 target="${1:-target}/release"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+bin_dir="$(dirname "$0")/../crates/bench/src/bin"
+ran=()
 
 run() {
     local bin="$1"
     shift
+    ran+=("$bin")
     echo "=== smoke: $bin $* ==="
     local t0=$SECONDS
     "$target/$bin" "$@" --out "$out" >"$out/$bin.log" 2>&1 || {
@@ -44,10 +49,14 @@ run exp_table7_cond_wcss "${common[@]}"
 run exp_table9_nonattr --seeds 2 --scale 0.02 --datasets com-dblp
 run exp_table10_bdd_variants "${common[@]}"
 run exp_table11_similarity "${common[@]}"
-run exp_serving --seeds 6 --scale 0.02 --datasets arxiv
-run exp_routing --seeds 6 --scale 0.02 --datasets arxiv
-run exp_overload --seeds 6 --scale 0.02 --datasets arxiv
-run exp_telemetry --seeds 6 --scale 0.02 --datasets arxiv
-run exp_persist --seeds 4 --scale 0.02 --datasets arxiv
 
-echo "all experiment binaries smoked OK"
+missing=()
+for src in "$bin_dir"/exp_*.rs; do
+    bin="$(basename "$src" .rs)"
+    [[ " ${ran[*]} " == *" $bin "* ]] || missing+=("$bin")
+done
+if ((${#missing[@]})); then
+    echo "FAILED: no smoke line for ${missing[*]} (add a run line to $0)"
+    exit 1
+fi
+echo "all ${#ran[@]} experiment binaries smoked OK"
