@@ -58,13 +58,14 @@ fn hot_path_marker_in_doc_prose_is_inert() {
 
 #[test]
 fn hot_path_lane_major_batch_kernel_is_clean() {
-    // The batched-diffusion push pattern: lane-major indexing, a bit-scan
-    // over the extraction mask, pushes into pre-sized workspace vectors
-    // and `std::mem::take` of a scratch list — none of it allocates, so
-    // the marked region must stay clean.
+    // A strided push over a bit mask: offset indexing, a bit-scan loop,
+    // pushes into pre-sized workspace vectors and `std::mem::take` of a
+    // scratch list. None of it allocates, so the marked region must stay
+    // clean; this is the only fixture where `mem::take` (a path call that
+    // looks like a constructor) sits inside a hot-path region.
     let report = lint_service(
         "// lint: hot-path\n\
-         fn push_lanes(ws: &mut Workspace, j: usize, em: u16, delta: &[f64]) {\n\
+         fn push_masked(ws: &mut Workspace, j: usize, em: u16, delta: &[f64]) {\n\
              let base = j * ws.stride;\n\
              let mut m = em;\n\
              while m != 0 {\n\
@@ -82,12 +83,12 @@ fn hot_path_lane_major_batch_kernel_is_clean() {
 
 #[test]
 fn hot_path_batch_kernel_allocating_per_push_is_flagged() {
-    // The anti-pattern the lane-major layout exists to avoid: building a
-    // fresh per-push lane buffer.
+    // A fresh buffer built per push with the `vec!` macro: the only
+    // fixture where the allocation is a macro call, not a path call.
     let report = lint_service(
         "// lint: hot-path\n\
-         fn push_lanes(ws: &mut Workspace, lanes: usize) {\n\
-             let spread = vec![0.0f64; lanes];\n\
+         fn push_spread(ws: &mut Workspace, width: usize) {\n\
+             let spread = vec![0.0f64; width];\n\
              ws.apply(&spread);\n\
          }\n",
     );
@@ -97,11 +98,12 @@ fn hot_path_batch_kernel_allocating_per_push_is_flagged() {
 
 #[test]
 fn hot_path_simd_kernel_with_safety_doc_passes() {
-    // The vectorized dense-lane kernel: a `# Safety`-documented
-    // `target_feature` function inside a hot-path region, plus a
-    // `// SAFETY:`-justified call site. Both rules must stay quiet.
+    // A `# Safety`-documented `unsafe fn` with the hot-path marker and a
+    // `#[target_feature]` attribute between the doc and the `unsafe fn`,
+    // plus a `// SAFETY:`-justified call site. The safety doc must still
+    // count across the attribute, so both rules stay quiet.
     let report = lint_service(
-        "/// 4-wide f64 lane block.\n\
+        "/// 4-wide f64 block.\n\
          ///\n\
          /// # Safety\n\
          /// Caller checked AVX2 and `lanes % 4 == 0`.\n\

@@ -1,6 +1,6 @@
 //! Open-loop overload benchmark for `laca-service`: tail latency of
 //! *admitted* queries when offered load exceeds capacity, under the
-//! shedding admission policies.
+//! shedding admission policy.
 //!
 //! Unlike the closed-loop serving bench (which submits the next query
 //! when the previous one answers, so offered load can never exceed
@@ -17,8 +17,8 @@
 //!
 //! * `overload/shed/x1` — cache off, `Shed`, offered load ≈ capacity.
 //! * `overload/shed/x4` — same service, offered load ≈ 4× capacity.
-//! * `overload/smart/x4` — cache on, `SmartShed`, 4×: the Zipf head
-//!   resolves as hits/joins, so far less is shed at the same load.
+//! * `overload/smart/x4` — cache on, `Shed`, 4×: the Zipf head resolves
+//!   as hits/joins (never shed), so far less is shed at the same load.
 //!
 //! Requests draw seeds from a Zipf(1.0) distribution over a 256-seed
 //! pool (hand-rolled sampler — no `rand` in the hot path). Writes
@@ -154,7 +154,8 @@ fn run_leg(
                 }
                 // A flight leader shed at the queue resolves its whole
                 // flight `Overloaded` *after* submit returned — the
-                // coalescing (SmartShed) leg's shed verdicts land here.
+                // cache-on (`overload/smart/x4`) leg's shed verdicts land
+                // here.
                 Err(ServiceError::Overloaded) => late_shed += 1,
                 Err(e) => panic!("admitted query failed mid-leg: {e}"),
             }
@@ -252,14 +253,14 @@ fn main() {
     ));
     drop(shed_service);
 
-    // SmartShed leg: cache on — the Zipf head coalesces and hits.
+    // Cache-on leg: the Zipf head coalesces and hits.
     let smart_service = QueryService::start(
         index.clone(),
         ServiceConfig::default()
             .with_workers(1)
             .with_cache_per_worker(SEED_POOL)
             .with_queue_capacity(QUEUE_DEPTH)
-            .with_admission(AdmissionPolicy::SmartShed),
+            .with_admission(AdmissionPolicy::Shed),
     );
     record(run_leg(
         "overload/smart/x4",

@@ -120,7 +120,7 @@ fn main() {
         let (router, keys) = router_with(&indices, 1, 4096);
         let service = router.route(&keys[0]).expect("route vanished");
         let mut next = 0usize;
-        router.reset_stats();
+        let before = router.aggregate_stats();
         group.bench_function(format!("coalesce/fan{FAN}"), |b| {
             b.iter(|| {
                 let mut handles = Vec::with_capacity(BURST_KEYS * FAN);
@@ -136,7 +136,7 @@ fn main() {
                 }
             })
         });
-        coalesce_telemetry = router.aggregate_stats();
+        coalesce_telemetry = router.aggregate_stats().delta_since(&before);
     }
     group.finish();
 

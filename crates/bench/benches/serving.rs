@@ -100,12 +100,12 @@ fn bench_serving(c: &mut Criterion, index: &ClusterIndex, telemetry: &mut Vec<Wa
                 .with_queue_capacity(256),
         );
         let warm_batch = workload(&pool, WARM_BATCH, 0x5EED ^ w as u64);
-        // Reach the steady-state hit rate before timing starts, then zero
-        // the counters so the snapshot below covers only the warm window.
+        // Reach the steady-state hit rate before timing starts, then
+        // snapshot so the delta below covers only the warm window.
         run_batch(&warm, &warm_batch);
-        warm.reset_stats();
+        let before = warm.stats();
         group.bench_function(format!("warm/w{w}"), |b| b.iter(|| run_batch(&warm, &warm_batch)));
-        telemetry.push(WarmTelemetry { workers: w, window: warm.stats() });
+        telemetry.push(WarmTelemetry { workers: w, window: warm.stats().delta_since(&before) });
     }
     group.finish();
 }

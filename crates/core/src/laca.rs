@@ -33,7 +33,6 @@ use laca_diffusion::{
     DiffusionWorkspace, SparseVec,
 };
 use laca_graph::{CsrGraph, NodeId};
-use std::sync::Arc;
 
 /// Which diffusion solver Algo. 4 invokes (the "w/o AdaptiveDiffuse"
 /// ablation of Table VI swaps in GreedyDiffuse).
@@ -138,60 +137,20 @@ pub struct LacaQueryStats {
     pub phi_l1: f64,
 }
 
-/// Either a borrowed or an `Arc`-shared handle to an immutable artifact.
-///
-/// [`Laca`] historically borrowed its graph and TNAM from the caller
-/// (`Laca<'g>`), which is zero-cost for single-threaded loops but cannot
-/// cross thread boundaries. The serving layer (`laca-service`) needs one
-/// immutable index shared by many worker threads, so each handle can also
-/// be an `Arc` — `Laca<'static>` built from Arcs is `Send + Sync`
-/// (statically asserted below) and freely clonable across a pool.
-#[derive(Debug, Clone)]
-enum SharedRef<'g, T> {
-    Borrowed(&'g T),
-    Owned(Arc<T>),
-}
-
-impl<T> SharedRef<'_, T> {
-    #[inline]
-    fn get(&self) -> &T {
-        match self {
-            SharedRef::Borrowed(t) => t,
-            SharedRef::Owned(t) => t,
-        }
-    }
-}
-
 /// A LACA instance bound to a graph and (optionally) a prebuilt TNAM.
 ///
 /// The TNAM is the reusable preprocessing artifact: build it once per
 /// dataset ([`Tnam::build`]), then answer any number of seed queries.
 ///
-/// Construction is either borrowing ([`Laca::new`] — the lifetime ties
-/// the engine to the caller's graph) or shared ([`Laca::new_shared`] —
-/// `Arc`-backed, `'static`, `Send + Sync`, for cross-thread serving).
+/// The engine borrows both (the lifetime ties it to the caller's graph).
+/// All query paths take `&self`, so one engine can serve many threads at
+/// once — e.g. `std::thread::scope` workers, each with its own
+/// [`DiffusionWorkspace`].
 #[derive(Debug, Clone)]
 pub struct Laca<'g> {
-    graph: SharedRef<'g, CsrGraph>,
-    tnam: Option<SharedRef<'g, Tnam>>,
+    graph: &'g CsrGraph,
+    tnam: Option<&'g Tnam>,
     params: LacaParams,
-}
-
-fn validate_index(
-    graph: &CsrGraph,
-    tnam: Option<&Tnam>,
-    params: &LacaParams,
-) -> Result<(), CoreError> {
-    if params.use_snas {
-        match tnam {
-            None => return Err(CoreError::NoAttributes),
-            Some(t) if t.n() != graph.n() => {
-                return Err(CoreError::BadParameter("TNAM size does not match graph"))
-            }
-            _ => {}
-        }
-    }
-    Ok(())
 }
 
 impl<'g> Laca<'g> {
@@ -202,32 +161,26 @@ impl<'g> Laca<'g> {
         tnam: Option<&'g Tnam>,
         params: LacaParams,
     ) -> Result<Self, CoreError> {
-        validate_index(graph, tnam, &params)?;
-        Ok(Laca { graph: SharedRef::Borrowed(graph), tnam: tnam.map(SharedRef::Borrowed), params })
-    }
-
-    /// Creates a query engine co-owning its graph/TNAM through `Arc`s.
-    ///
-    /// The result is `Laca<'static>`: it can move into worker threads and
-    /// be queried concurrently (all query paths take `&self`). Same
-    /// validation rules as [`Laca::new`].
-    pub fn new_shared(
-        graph: Arc<CsrGraph>,
-        tnam: Option<Arc<Tnam>>,
-        params: LacaParams,
-    ) -> Result<Laca<'static>, CoreError> {
-        validate_index(&graph, tnam.as_deref(), &params)?;
-        Ok(Laca { graph: SharedRef::Owned(graph), tnam: tnam.map(SharedRef::Owned), params })
+        if params.use_snas {
+            match tnam {
+                None => return Err(CoreError::NoAttributes),
+                Some(t) if t.n() != graph.n() => {
+                    return Err(CoreError::BadParameter("TNAM size does not match graph"))
+                }
+                _ => {}
+            }
+        }
+        Ok(Laca { graph, tnam, params })
     }
 
     /// The graph this engine queries.
     pub fn graph(&self) -> &CsrGraph {
-        self.graph.get()
+        self.graph
     }
 
     /// The TNAM in use, if any.
     pub fn tnam(&self) -> Option<&Tnam> {
-        self.tnam.as_ref().map(SharedRef::get)
+        self.tnam
     }
 
     /// The parameters in use.
@@ -249,7 +202,7 @@ impl<'g> Laca<'g> {
             sigma: self.params.sigma,
             record_residuals: false,
         };
-        let graph = self.graph.get();
+        let graph = self.graph;
         let stats = match self.params.backend {
             DiffusionBackend::Adaptive => adaptive_run_in(graph, f, &dp, ws)?,
             DiffusionBackend::Greedy => greedy_run_in(graph, f, &dp, ws)?,
@@ -268,7 +221,7 @@ impl<'g> Laca<'g> {
         seed: NodeId,
         ws: &'w mut DiffusionWorkspace,
     ) -> Result<(LacaQueryStats, RhoPairs<'w>), CoreError> {
-        let graph = self.graph.get();
+        let graph = self.graph;
         if seed as usize >= graph.n() {
             return Err(CoreError::BadParameter("seed node out of range"));
         }
@@ -418,7 +371,7 @@ fn step2_phi(graph: &CsrGraph, tnam: Option<&Tnam>, pairs: &[(NodeId, f64)]) -> 
     }
 }
 
-// An Arc-built engine must be shareable across a worker pool. If a future
+// One engine must be shareable across a worker pool. If a future
 // change introduces interior mutability (Cell/RefCell/raw pointers) into
 // the graph, the TNAM or the engine itself, this stops compiling instead
 // of surfacing as a data race at runtime.
@@ -562,37 +515,21 @@ mod tests {
     fn shared_engine_matches_borrowed_engine_across_threads() {
         let ds = dataset();
         let tnam = Tnam::build(&ds.attributes, &TnamConfig::new(16, MetricFn::Cosine)).unwrap();
-        let params = LacaParams::new(1e-4);
-        let borrowed = Laca::new(&ds.graph, Some(&tnam), params.clone()).unwrap();
-        let shared =
-            Laca::new_shared(Arc::new(ds.graph.clone()), Some(Arc::new(tnam.clone())), params)
-                .unwrap();
-        let expected: Vec<_> = (0..4u32)
-            .map(|s| {
-                let (rho, stats) = borrowed.bdd_with_stats(s).unwrap();
-                (rho.to_sorted_pairs(), stats.bdd.push_operations)
-            })
-            .collect();
-        let handles: Vec<_> = (0..4u32)
-            .map(|s| {
-                let engine = shared.clone();
-                std::thread::spawn(move || {
-                    let (rho, stats) = engine.bdd_with_stats(s).unwrap();
-                    (rho.to_sorted_pairs(), stats.bdd.push_operations)
-                })
-            })
-            .collect();
-        for (s, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.join().unwrap(), expected[s], "seed {s} diverged across threads");
+        let engine = Laca::new(&ds.graph, Some(&tnam), LacaParams::new(1e-4)).unwrap();
+        let run = |s: NodeId| {
+            let (rho, stats) = engine.bdd_with_stats(s).unwrap();
+            (rho.to_sorted_pairs(), stats.bdd.push_operations)
+        };
+        let expected: Vec<_> = (0..4u32).map(run).collect();
+        // One `&Laca` queried from four threads at once, each with its
+        // own thread-local workspace.
+        let threaded: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4u32).map(|s| scope.spawn(move || run(s))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (s, got) in threaded.iter().enumerate() {
+            assert_eq!(got, &expected[s], "seed {s} diverged across threads");
         }
-    }
-
-    #[test]
-    fn shared_construction_validates_like_borrowed() {
-        let ds = dataset();
-        let graph = Arc::new(ds.graph.clone());
-        assert!(Laca::new_shared(Arc::clone(&graph), None, LacaParams::new(1e-4)).is_err());
-        assert!(Laca::new_shared(graph, None, LacaParams::new(1e-4).without_snas()).is_ok());
     }
 
     #[test]

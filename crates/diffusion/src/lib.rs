@@ -14,10 +14,10 @@
 //!   (inputs and outputs never allocate `O(n)`, preserving locality),
 //! * [`DiffusionWorkspace`] — the epoch-stamped dense scratch the push
 //!   loops actually run on, reused across queries (one per thread via
-//!   [`workspace::with_thread_workspace`], checked out of a shared
-//!   [`WorkspacePool`], or caller-managed through the `*_diffuse_in`
-//!   entry points, or through the `*_run_in` loops that leave the result
-//!   in the workspace for [`DiffusionWorkspace::reserve_into`] to read),
+//!   [`workspace::with_thread_workspace`], or caller-managed — a serving
+//!   worker owns one for its lifetime — through the `*_diffuse_in` entry
+//!   points, or through the `*_run_in` loops that leave the result in the
+//!   workspace for [`DiffusionWorkspace::reserve_into`] to read),
 //! * [`greedy_diffuse`] — Algo. 1 (**GreedyDiffuse**),
 //! * [`nongreedy_diffuse`] — the full-front iteration of Eq. 17 that the
 //!   paper's Section IV-B study compares against,
@@ -43,7 +43,7 @@ pub use adaptive::{
 };
 pub use greedy::{greedy_diffuse, greedy_diffuse_in, greedy_run_in};
 pub use sparse_vec::SparseVec;
-pub use workspace::{DiffusionWorkspace, PooledWorkspace, WorkspacePool};
+pub use workspace::DiffusionWorkspace;
 
 use laca_graph::NodeId;
 

@@ -598,103 +598,6 @@ fn r_add<const TRACK: bool>(
     }
 }
 
-/// A checkout/checkin pool of [`DiffusionWorkspace`]s for callers that
-/// manage their own threads (e.g. a query-serving worker pool) instead of
-/// running under [`with_thread_workspace`]'s thread-local cache.
-///
-/// [`WorkspacePool::checkout`] pops an idle workspace (or creates one when
-/// the pool runs dry — the pool never blocks) and returns a
-/// [`PooledWorkspace`] guard that derefs to the workspace and checks it
-/// back in on drop. Warm capacity survives the round trip, so a worker
-/// that checks out once per session — or even once per query — still gets
-/// the steady-state zero-allocation behavior after warm-up.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    idle: std::sync::Mutex<Vec<DiffusionWorkspace>>,
-    /// Workspaces created by this pool (checkout misses), for telemetry.
-    created: std::sync::atomic::AtomicUsize,
-}
-
-impl WorkspacePool {
-    /// An empty pool; workspaces are created on first checkout.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A pool pre-populated with `count` workspaces sized for `graph`, so
-    /// the first `count` concurrent checkouts allocate nothing.
-    pub fn for_graph(graph: &CsrGraph, count: usize) -> Self {
-        let pool = Self::new();
-        {
-            let mut idle = pool.idle.lock().expect("workspace pool poisoned");
-            idle.extend((0..count).map(|_| DiffusionWorkspace::for_graph(graph)));
-        }
-        // ordering: nothing else can observe the pool before this
-        // constructor returns, so the store needs no synchronization.
-        pool.created.store(count, std::sync::atomic::Ordering::Relaxed);
-        pool
-    }
-
-    /// Checks out a workspace, creating a fresh one if none is idle.
-    pub fn checkout(&self) -> PooledWorkspace<'_> {
-        let ws = self.idle.lock().expect("workspace pool poisoned").pop().unwrap_or_else(|| {
-            self.created.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            DiffusionWorkspace::new()
-        });
-        PooledWorkspace { pool: self, ws: Some(ws) }
-    }
-
-    /// Number of idle (checked-in) workspaces.
-    pub fn idle_count(&self) -> usize {
-        self.idle.lock().expect("workspace pool poisoned").len()
-    }
-
-    /// Total workspaces this pool has ever created (pre-population plus
-    /// checkout misses). `created() > initial count` means concurrent
-    /// demand exceeded the pre-populated size at some point.
-    pub fn created(&self) -> usize {
-        // ordering: advisory gauge — the counter is monotonic and only
-        // bumped by `fetch_add`, so a relaxed load can lag but never
-        // observe a torn or decreasing value.
-        self.created.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-/// A [`DiffusionWorkspace`] checked out of a [`WorkspacePool`]; returns
-/// itself to the pool on drop.
-#[derive(Debug)]
-pub struct PooledWorkspace<'p> {
-    pool: &'p WorkspacePool,
-    /// `Some` until dropped (taken in `drop` to move back into the pool).
-    ws: Option<DiffusionWorkspace>,
-}
-
-impl std::ops::Deref for PooledWorkspace<'_> {
-    type Target = DiffusionWorkspace;
-
-    fn deref(&self) -> &DiffusionWorkspace {
-        self.ws.as_ref().expect("workspace taken before drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut DiffusionWorkspace {
-        self.ws.as_mut().expect("workspace taken before drop")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            // A poisoned mutex here means another checkin panicked; losing
-            // the workspace (it is re-creatable scratch) beats aborting.
-            if let Ok(mut idle) = self.pool.idle.lock() {
-                idle.push(ws);
-            }
-        }
-    }
-}
-
 thread_local! {
     static THREAD_WORKSPACE: RefCell<DiffusionWorkspace> =
         RefCell::new(DiffusionWorkspace::new());
@@ -806,115 +709,6 @@ mod tests {
         assert_eq!(b.reserve.to_sorted_pairs(), fresh.reserve.to_sorted_pairs());
         assert_eq!(b.residual.to_sorted_pairs(), fresh.residual.to_sorted_pairs());
         assert!(!a.reserve.is_empty() && !c.reserve.is_empty());
-    }
-
-    #[test]
-    fn pool_checkout_checkin_preserves_warm_state() {
-        let g = graph();
-        let pool = WorkspacePool::for_graph(&g, 1);
-        assert_eq!(pool.idle_count(), 1);
-        let params = DiffusionParams::new(0.8, 1e-5);
-        let warm_sig = {
-            let mut ws = pool.checkout();
-            assert_eq!(pool.idle_count(), 0);
-            greedy_diffuse_in(&g, &SparseVec::unit(0), &params, &mut ws).unwrap();
-            ws.capacity_signature()
-        };
-        // The same (now warm) workspace comes back on the next checkout.
-        let mut ws = pool.checkout();
-        assert_eq!(ws.queries(), 1);
-        greedy_diffuse_in(&g, &SparseVec::unit(0), &params, &mut ws).unwrap();
-        assert_eq!(ws.capacity_signature(), warm_sig, "checkin lost warm capacity");
-        drop(ws);
-        assert_eq!(pool.idle_count(), 1);
-        assert_eq!(pool.created(), 1, "no extra workspace should have been created");
-    }
-
-    #[test]
-    fn pool_grows_under_concurrent_checkout() {
-        let pool = WorkspacePool::new();
-        let a = pool.checkout();
-        let b = pool.checkout();
-        assert_eq!(pool.created(), 2);
-        drop(a);
-        drop(b);
-        assert_eq!(pool.idle_count(), 2);
-        // Both land back in the pool and are reused without new creations.
-        let _c = pool.checkout();
-        let _d = pool.checkout();
-        assert_eq!(pool.created(), 2);
-    }
-
-    #[test]
-    fn pool_is_shareable_across_threads() {
-        let g = graph();
-        let pool = std::sync::Arc::new(WorkspacePool::for_graph(&g, 2));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let pool = std::sync::Arc::clone(&pool);
-                let g = g.clone();
-                std::thread::spawn(move || {
-                    let mut ws = pool.checkout();
-                    let out = greedy_diffuse_in(
-                        &g,
-                        &SparseVec::unit(i % 8),
-                        &DiffusionParams::new(0.8, 1e-4),
-                        &mut ws,
-                    )
-                    .unwrap();
-                    out.reserve.support_size()
-                })
-            })
-            .collect();
-        for h in handles {
-            assert!(h.join().unwrap() > 0);
-        }
-        assert!(pool.idle_count() >= 2);
-    }
-
-    #[test]
-    fn pool_checkin_survives_worker_panic_and_created_stays_consistent() {
-        let g = graph();
-        let pool = std::sync::Arc::new(WorkspacePool::for_graph(&g, 2));
-        assert_eq!((pool.created(), pool.idle_count()), (2, 2));
-        // Half the workers panic while holding a checked-out workspace:
-        // `PooledWorkspace::drop` runs during their unwind and must still
-        // check the workspace back in.
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let pool = std::sync::Arc::clone(&pool);
-                let g = g.clone();
-                std::thread::spawn(move || {
-                    let mut ws = pool.checkout();
-                    greedy_diffuse_in(
-                        &g,
-                        &SparseVec::unit(i % 8),
-                        &DiffusionParams::new(0.8, 1e-4),
-                        &mut ws,
-                    )
-                    .expect("diffusion failed");
-                    if i % 2 == 0 {
-                        panic!("worker dies holding a pooled workspace");
-                    }
-                })
-            })
-            .collect();
-        let panicked = handles.into_iter().map(|h| h.join()).filter(Result::is_err).count();
-        assert_eq!(panicked, 2, "exactly the seeded panics");
-        // Every workspace came back — none leaked to the unwind — and the
-        // `created` counter reflects only real creations (the 4 concurrent
-        // checkouts can have grown the pool past the 2 pre-populated, but
-        // never past the peak concurrency, and never shrunk it).
-        let created = pool.created();
-        assert!((2..=4).contains(&created), "created drifted: {created}");
-        assert_eq!(pool.idle_count(), created, "a panic leaked a workspace");
-        // Steady state after the storm: checkouts reuse, never create.
-        for _ in 0..8 {
-            let mut ws = pool.checkout();
-            greedy_diffuse_in(&g, &SparseVec::unit(0), &DiffusionParams::new(0.8, 1e-4), &mut ws)
-                .expect("diffusion failed");
-        }
-        assert_eq!(pool.created(), created, "sequential reuse must not create");
     }
 
     #[test]

@@ -35,15 +35,25 @@ fn reciprocals(degrees: &[f64]) -> Vec<f64> {
     degrees.iter().map(|&d| 1.0 / d).collect()
 }
 
+/// Rejects a node count no [`NodeId`] range can hold (or zero) before any
+/// `O(n)` allocation is attempted.
+fn check_node_count(n: usize) -> Result<(), GraphError> {
+    if n == 0 {
+        return Err(GraphError::Empty);
+    }
+    if n > NodeId::MAX as usize + 1 {
+        return Err(GraphError::TooManyNodes { n });
+    }
+    Ok(())
+}
+
 impl CsrGraph {
     /// Builds an unweighted graph on `n` nodes from an edge list.
     ///
     /// Self-loops and duplicate edges are dropped. Each pair may be given in
     /// either or both orientations.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
+        check_node_count(n)?;
         for &(u, v) in edges {
             if u as usize >= n {
                 return Err(GraphError::NodeOutOfRange { node: u, n });
@@ -82,9 +92,7 @@ impl CsrGraph {
         n: usize,
         edges: &[(NodeId, NodeId, f64)],
     ) -> Result<Self, GraphError> {
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
+        check_node_count(n)?;
         for &(u, v, w) in edges {
             if u as usize >= n {
                 return Err(GraphError::NodeOutOfRange { node: u, n });

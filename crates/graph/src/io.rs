@@ -298,4 +298,15 @@ mod tests {
         std::fs::write(&path, "# nodes 3\nx y\n").unwrap();
         assert!(read_graph(&path).is_err());
     }
+
+    #[test]
+    fn read_graph_rejects_a_node_count_beyond_the_id_range() {
+        let dir = tmpdir("huge");
+        let path = dir.join("huge.edges");
+        // Unweighted and weighted edge lines reach the two constructors.
+        for edge in ["0 1", "0 1 0.5"] {
+            std::fs::write(&path, format!("# nodes 18446744073709551615\n{edge}\n")).unwrap();
+            assert_eq!(read_graph(&path), Err(GraphError::TooManyNodes { n: usize::MAX }));
+        }
+    }
 }

@@ -41,6 +41,9 @@ pub enum GraphError {
     InvalidWeight { u: NodeId, v: NodeId },
     /// The construction produced a graph with zero nodes.
     Empty,
+    /// A node count beyond what [`NodeId`] can address (`n` above
+    /// `NodeId::MAX + 1`).
+    TooManyNodes { n: usize },
     /// Attribute row had an index `>= dim` or a non-finite value.
     InvalidAttribute { row: usize },
     /// Dimension mismatch between two structures that must agree.
@@ -65,6 +68,9 @@ impl std::fmt::Display for GraphError {
                 write!(f, "edge ({u}, {v}) has a non-positive or non-finite weight")
             }
             GraphError::Empty => write!(f, "graph has no nodes"),
+            GraphError::TooManyNodes { n } => {
+                write!(f, "{n} nodes exceed the {}-node id range", u64::from(NodeId::MAX) + 1)
+            }
             GraphError::InvalidAttribute { row } => {
                 write!(f, "attribute row {row} has an out-of-range index or non-finite value")
             }

@@ -12,37 +12,30 @@ use std::time::Duration;
 /// | Policy | Full queue means… | Latency profile |
 /// |--------|-------------------|-----------------|
 /// | `Block` | the submitter parks until a slot frees (backpressure) | unbounded submit latency, zero rejections |
-/// | `Shed` | every submission that is not a cache hit is rejected with [`crate::ServiceError::Overloaded`] | submit never blocks; queueing delay bounded by queue depth |
-/// | `SmartShed` | only work that would *enqueue a compute* is rejected; joins onto a live flight are still admitted | like `Shed`, but sheds less under hot-key skew |
+/// | `Shed` | work that would *enqueue a compute* is rejected with [`crate::ServiceError::Overloaded`]; cache hits and joins onto a live flight are admitted | submit never blocks; queueing delay bounded by queue depth |
 ///
 /// `Block` (the default, and the crate's historical behavior) is right
 /// for embedded batch use where the submitter *is* the workload and
-/// backpressure is the contract. The shedding policies are for serving:
-/// under a traffic spike they bound every admitted query's queueing
-/// delay by the queue depth and convert the excess into fast, explicit
+/// backpressure is the contract. `Shed` is for serving: under a traffic
+/// spike it bounds every admitted query's queueing delay by the queue
+/// depth and converts the excess into fast, explicit
 /// [`crate::ServiceError::Overloaded`] rejections the caller can retry
 /// against another replica (or via
 /// [`crate::ServiceRouter::submit_with_retry`]).
 ///
-/// The difference between `Shed` and `SmartShed` is what happens to a
-/// submission that *could* coalesce onto an in-flight computation while
-/// the queue is full: `Shed` rejects it without consulting the in-flight
-/// table (strictest load bound — admitted work is capped by queue depth
-/// plus in-flight waiters already accepted), while `SmartShed` admits it
-/// (a join costs no queue slot and no compute, so shedding it wastes a
-/// nearly-free answer). Cache hits are always admitted under every
-/// policy: they never touch the queue.
+/// Cache hits and coalesced joins are admitted under both policies: they
+/// take no queue slot and no compute, so shedding them would waste a
+/// nearly-free answer. A shed flight leader fails the waiters that joined
+/// it too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Park the submitter until a queue slot frees (backpressure).
     #[default]
     Block,
-    /// Reject every non-hit immediately with
-    /// [`crate::ServiceError::Overloaded`] while the queue is full.
+    /// Reject work that would enqueue a new compute with
+    /// [`crate::ServiceError::Overloaded`] while the queue is full; cache
+    /// hits and joins onto a live flight are always admitted.
     Shed,
-    /// Reject only submissions that would enqueue a new compute; joins
-    /// onto a live flight (and cache hits) are always admitted.
-    SmartShed,
 }
 
 /// Per-submission options for [`crate::QueryService::submit_with`] /

@@ -276,7 +276,7 @@ impl<K: Hash + Eq, V: Clone> InFlightTable<K, V> {
     /// Joins the key's flight if one is in progress, else re-checks the
     /// cache via `recheck`, else registers `waiter` on a fresh entry and
     /// makes the caller the leader. `span` is parked with the waiter and
-    /// returned by [`Self::resolve`] for the resolver to finish (the
+    /// handed to [`Self::resolve`]'s `finish` callback (the
     /// leader's own span rides its queued job, so leaders register a
     /// placeholder — id 0 — that resolvers skip). `recheck` runs under
     /// the shard lock — it must only take locks that are never held
@@ -303,26 +303,24 @@ impl<K: Hash + Eq, V: Clone> InFlightTable<K, V> {
         Submission::Leading
     }
 
-    /// Ends the key's flight: removes the entry and sends `value` to every
-    /// registered waiter (waiters that dropped their receiver are
-    /// skipped). Returns the parked spans so the resolver can stamp their
-    /// resume/reply events — including spans of waiters whose receiver is
-    /// gone (they parked; their timeline is still real). Empty when the
-    /// key has no flight.
-    pub fn resolve(&self, key: &K, value: V) -> Vec<QuerySpan> {
+    /// Ends the key's flight: removes the entry, then, waiter by waiter
+    /// in registration order, hands the parked span to `finish` and sends
+    /// `value`. Finishing first lets the resolver record a waiter's span
+    /// before that waiter can see its reply. Waiters that dropped their
+    /// receiver are skipped by the send, but their spans still reach
+    /// `finish` (they parked; their timeline is still real). A no-op when
+    /// the key has no flight.
+    pub fn resolve(&self, key: &K, value: V, mut finish: impl FnMut(QuerySpan)) {
         let waiters = {
             let mut shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
             shard.remove(key)
         };
         // Send outside the lock: new submissions for this key can lead a
         // fresh flight while the old one's waiters drain.
-        let waiters = waiters.unwrap_or_default();
-        let mut spans = Vec::with_capacity(waiters.len());
-        for (w, span) in waiters {
+        for (w, span) in waiters.unwrap_or_default() {
+            finish(span);
             let _ = w.send(value.clone());
-            spans.push(span);
         }
-        spans
     }
 
     /// Number of keys currently in flight (telemetry; racy by nature).
@@ -436,7 +434,8 @@ mod tests {
                 rx
             })
             .collect();
-        let spans = table.resolve(&7, 42);
+        let mut spans = Vec::new();
+        table.resolve(&7, 42, |span| spans.push(span));
         assert!(table.is_empty());
         assert_eq!(lead_rx.recv(), Ok(42));
         for rx in followers {
@@ -476,11 +475,12 @@ mod tests {
         drop(lead_rx);
         // Dropped receivers: send errors swallowed, spans still handed
         // back (leader placeholder first, then the joiner).
-        let spans = table.resolve(&1, 5);
+        let mut spans = Vec::new();
+        table.resolve(&1, 5, |span| spans.push(span));
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].id, 0);
         assert_eq!(spans[1].id, 9);
-        assert!(table.resolve(&2, 6).is_empty()); // never-led key: no-op
+        table.resolve(&2, 6, |_| panic!("never-led key has no waiters")); // no-op
         assert!(table.is_empty());
     }
 
@@ -499,7 +499,7 @@ mod tests {
             .collect();
         assert_eq!(table.len(), INFLIGHT_SHARDS * 2);
         for (k, rx) in rxs {
-            table.resolve(&k, k * 10);
+            table.resolve(&k, k * 10, drop);
             assert_eq!(rx.recv(), Ok(k * 10));
         }
         assert!(table.is_empty());

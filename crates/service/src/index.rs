@@ -31,13 +31,6 @@ pub struct ClusterIndex {
     dataset: Arc<str>,
 }
 
-/// Stable digest of every field of [`LacaParams`] that affects query
-/// results; identical to [`LacaParams::fingerprint`] (kept as a free
-/// function for source compatibility).
-pub fn params_fingerprint(params: &LacaParams) -> u64 {
-    params.fingerprint()
-}
-
 impl ClusterIndex {
     /// Assembles an index from already-shared parts, with the same
     /// validation as [`Laca::new`] (SNAS params require a TNAM whose size
@@ -55,8 +48,8 @@ impl ClusterIndex {
         params: LacaParams,
     ) -> Result<Self, CoreError> {
         // Engine construction is the validation path; the engine itself is
-        // rebuilt per worker (it is two pointers + params).
-        Laca::new_shared(Arc::clone(&graph), tnam.clone(), params.clone())?;
+        // rebuilt per worker (it is two references + params).
+        Laca::new(&graph, tnam.as_deref(), params.clone())?;
         let fingerprint = {
             use std::hash::{Hash, Hasher};
             let mut h = rustc_hash::FxHasher::default();
@@ -94,21 +87,15 @@ impl ClusterIndex {
         self
     }
 
-    /// A query engine over this index. `Laca<'static>` — `Send + Sync`,
-    /// movable into worker threads.
-    pub fn engine(&self) -> Laca<'static> {
-        Laca::new_shared(Arc::clone(&self.graph), self.tnam.clone(), self.params.clone())
+    /// A query engine borrowing this index's graph and TNAM. It is
+    /// `Send + Sync`: worker threads that share the index share it.
+    pub fn engine(&self) -> Laca<'_> {
+        Laca::new(&self.graph, self.tnam.as_deref(), self.params.clone())
             .expect("index was validated at construction")
     }
 
     /// The shared graph.
     pub fn graph(&self) -> &CsrGraph {
-        &self.graph
-    }
-
-    /// The shared graph's `Arc` (serializers and sibling indices share
-    /// it without cloning the data).
-    pub fn graph_arc(&self) -> &Arc<CsrGraph> {
         &self.graph
     }
 
@@ -178,18 +165,13 @@ mod tests {
     #[test]
     fn fingerprint_distinguishes_params() {
         let base = LacaParams::new(1e-4);
-        assert_eq!(params_fingerprint(&base), params_fingerprint(&base.clone()));
-        assert_ne!(params_fingerprint(&base), params_fingerprint(&LacaParams::new(1e-5)));
-        assert_ne!(params_fingerprint(&base), params_fingerprint(&base.clone().with_alpha(0.9)));
-        assert_ne!(params_fingerprint(&base), params_fingerprint(&base.clone().with_sigma(0.2)));
-        assert_ne!(
-            params_fingerprint(&base),
-            params_fingerprint(&base.clone().with_backend(DiffusionBackend::Greedy))
-        );
-        assert_ne!(
-            params_fingerprint(&LacaParams::new(1e-4)),
-            params_fingerprint(&LacaParams::new(1e-4).without_snas())
-        );
+        let fp = LacaParams::fingerprint;
+        assert_eq!(fp(&base), fp(&base.clone()));
+        assert_ne!(fp(&base), fp(&LacaParams::new(1e-5)));
+        assert_ne!(fp(&base), fp(&base.clone().with_alpha(0.9)));
+        assert_ne!(fp(&base), fp(&base.clone().with_sigma(0.2)));
+        assert_ne!(fp(&base), fp(&base.clone().with_backend(DiffusionBackend::Greedy)));
+        assert_ne!(fp(&LacaParams::new(1e-4)), fp(&LacaParams::new(1e-4).without_snas()));
     }
 
     #[test]

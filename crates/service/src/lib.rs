@@ -8,11 +8,11 @@
 //!
 //! * [`ClusterIndex`] — graph + TNAM + params behind `Arc`s, cheap to
 //!   clone, `Send + Sync` (statically asserted);
-//! * [`QueryService`] — a fixed worker pool where each worker holds a
-//!   persistent `DiffusionWorkspace` (checked out of
-//!   [`laca_diffusion::WorkspacePool`]), fed by a bounded submission
-//!   queue, with single ([`QueryService::query`]) and batched
-//!   ([`QueryService::query_batch`]) entry points;
+//! * [`QueryService`] — a fixed worker pool where each worker owns one
+//!   [`laca_diffusion::DiffusionWorkspace`] for its lifetime and borrows
+//!   the index's engine, fed by a bounded submission queue, with single
+//!   ([`QueryService::query`]) and batched ([`QueryService::query_batch`])
+//!   entry points;
 //! * [`ServiceRouter`] — one front door over many indices, keyed by
 //!   [`RouteKey`] = `(dataset, index-fingerprint)`, with hot
 //!   registration/retirement behind an `Arc`-swapped routing snapshot;
@@ -22,9 +22,9 @@
 //! * [`cache::InFlightTable`] — single-flight coalescing: two concurrent
 //!   misses on one key compute once, and both waiters receive the cached
 //!   answer ([`ServiceStats::coalesced`] counts the joins);
-//! * [`ServiceStats`] — a snapshot API over the hit/miss/latency
-//!   counters, with [`QueryService::reset_stats`] /
-//!   [`ServiceStats::delta_since`] for windowed measurements;
+//! * [`ServiceStats`] — a snapshot API over the monotonic hit/miss/latency
+//!   counters; [`ServiceStats::delta_since`] between two snapshots gives
+//!   an exact measurement window;
 //! * **flight-recorder telemetry** — every submission is traced as a
 //!   [`laca_telemetry::QuerySpan`] (admission → cache probe → queue →
 //!   compute → reply, plus kernel counters) into preallocated
@@ -86,7 +86,7 @@ pub use admission::{AdmissionPolicy, QueryOptions, RetryPolicy};
 pub use cache::ShardedCache;
 #[cfg(laca_fault_inject)]
 pub use fault::FaultPlan;
-pub use index::{params_fingerprint, ClusterIndex};
+pub use index::ClusterIndex;
 pub use router::{DrainReport, RouteKey, RouterError, ServiceRouter};
 pub use service::{
     QueryAnswer, QueryHandle, QueryResult, QueryService, ServiceConfig, ServiceError, ServiceStats,

@@ -193,7 +193,7 @@ fn inflight_exactly_one_leader_per_flight() {
                             // Cache insert happens-before entry removal —
                             // the ordering `submit`'s re-check relies on.
                             *cache.lock().unwrap() = Some(42);
-                            table.resolve(&9, 42);
+                            table.resolve(&9, 42, drop);
                             rx.recv().expect("leader is a registered waiter too")
                         }
                         Submission::Joined => rx.recv().expect("flight resolved"),
@@ -229,7 +229,7 @@ fn inflight_no_double_compute_on_evict_while_in_flight() {
                         assert_eq!(concurrent, 0, "two computes in flight for one key");
                         *cache.lock().unwrap() = Some(5);
                         computing.fetch_sub(1, Ordering::Relaxed);
-                        table.resolve(&3, 5);
+                        table.resolve(&3, 5, drop);
                         rx.recv().unwrap()
                     }
                     Submission::Joined => rx.recv().unwrap(),

@@ -448,17 +448,6 @@ impl ServiceRouter {
         total
     }
 
-    /// Zeroes every live route's counters ([`QueryService::reset_stats`])
-    /// and the router's own retry counter.
-    pub fn reset_stats(&self) {
-        for service in self.snapshot().values() {
-            service.reset_stats();
-        }
-        // ordering: Relaxed store — advisory telemetry reset, same
-        // contract as `Counters::reset` (racing increments may be lost).
-        self.retried.store(0, Ordering::Relaxed);
-    }
-
     /// Graceful drain: fence admission, then flush and retire every
     /// route.
     ///

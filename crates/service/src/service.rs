@@ -12,7 +12,7 @@ use crate::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use crate::ClusterIndex;
 use laca_core::laca::LacaQueryStats;
 use laca_core::CoreError;
-use laca_diffusion::{SparseVec, WorkspacePool};
+use laca_diffusion::{DiffusionWorkspace, SparseVec};
 use laca_graph::NodeId;
 use laca_telemetry::{
     FlightRecorder, HistogramSnapshot, LogHistogram, MetricsRegistry, QuerySpan, SpanOutcome,
@@ -37,10 +37,9 @@ const SPANS_PER_WORKER: usize = 256;
 /// and a per-worker result-cache budget of 512 answers.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (≥ 1). Each holds a persistent
-    /// [`laca_diffusion::DiffusionWorkspace`] checked out of the service's
-    /// pool for its whole lifetime, so steady-state queries allocate
-    /// nothing inside the push loops.
+    /// Worker threads (≥ 1). Each owns one
+    /// [`laca_diffusion::DiffusionWorkspace`] for its whole lifetime, so
+    /// steady-state queries allocate nothing inside the push loops.
     pub workers: usize,
     /// Bound of the submission queue (≥ 1). When full, `submit` blocks —
     /// backpressure, not unbounded memory growth.
@@ -388,15 +387,6 @@ impl<T> JobQueue<T> {
         Ok(())
     }
 
-    /// Advisory fullness probe. The answer can be stale by the time the
-    /// caller acts on it — [`Self::try_push`] is the authoritative
-    /// admission check; this one only lets `Shed` refuse cheap work
-    /// (would-be coalesced joins) early.
-    pub(crate) fn is_full(&self) -> bool {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.jobs.len() >= self.capacity
-    }
-
     /// Dequeues the next job, blocking while empty. `None` once the queue
     /// is closed *and* drained — workers finish in-flight work before
     /// exiting.
@@ -430,44 +420,20 @@ impl<T> JobQueue<T> {
 }
 
 /// Monotonic service counters (updated with relaxed atomics; the snapshot
-/// is advisory telemetry, not a synchronization point).
+/// is advisory telemetry, not a synchronization point). They only ever
+/// go up: measurement windows come from [`ServiceStats::delta_since`].
+/// Completions are not counted here — the compute histogram's sample
+/// count is that number.
 #[derive(Debug, Default)]
 struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    completed: AtomicU64,
     errors: AtomicU64,
     shed: AtomicU64,
     expired: AtomicU64,
     drained: AtomicU64,
     kernel_pushes: AtomicU64,
-}
-
-impl Counters {
-    /// Zeroes every counter ([`QueryService::reset_stats`]). Resets racing
-    /// in-flight updates lose those increments — acceptable for the
-    /// advisory telemetry these are; quiesce the service first when exact
-    /// windows matter.
-    fn reset(&self) {
-        for c in [
-            &self.hits,
-            &self.misses,
-            &self.coalesced,
-            &self.completed,
-            &self.errors,
-            &self.shed,
-            &self.expired,
-            &self.drained,
-            &self.kernel_pushes,
-        ] {
-            // ordering: Relaxed store is deliberate — each counter is
-            // independent advisory telemetry; a reset needs no ordering
-            // against concurrent bumps (racing increments may be lost,
-            // as documented on `reset_stats`).
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A point-in-time snapshot of a service's counters
@@ -655,7 +621,6 @@ struct Shared {
     inflight: Option<InFlightTable<CacheKey, QueryResult>>,
     counters: Counters,
     telemetry: ServiceTelemetry,
-    workspaces: WorkspacePool,
     admission: AdmissionPolicy,
     /// Workers still running their loop. The last worker to die by an
     /// escaped panic drains the queue on the way out, failing stranded
@@ -686,23 +651,22 @@ impl Shared {
         self.telemetry.recorder.record_submit(&span);
     }
 
-    /// Finishes the waiter spans an [`InFlightTable::resolve`] handed
-    /// back: stamps resume/reply, records end-to-end latency, and pushes
-    /// each span into `worker`'s ring (the resolver is its only
-    /// producer) or the submit ring for submit-path resolutions. The
-    /// leader's placeholder (id 0) is skipped — its real span rides the
-    /// queued job.
-    fn finish_waiter_spans(
+    /// The `finish` callback for an [`InFlightTable::resolve`]: stamps a
+    /// waiter's resume/reply events, records its end-to-end latency, and
+    /// pushes the span into `worker`'s ring (the resolver is its only
+    /// producer) or the submit ring for submit-path resolutions — all
+    /// before that waiter's reply is sent. The leader's placeholder (id 0)
+    /// is skipped — its real span rides the queued job.
+    fn waiter_span_finisher(
         &self,
-        spans: Vec<QuerySpan>,
         outcome: SpanOutcome,
         worker: Option<usize>,
-    ) {
+    ) -> impl FnMut(QuerySpan) + '_ {
         let tel = &self.telemetry;
         let now = tel.recorder.now_ns();
-        for mut span in spans {
+        move |mut span| {
             if span.id == 0 {
-                continue;
+                return;
             }
             span.outcome = outcome;
             span.resumed_ns = now;
@@ -722,17 +686,9 @@ impl Shared {
     /// failure).
     fn fail_job(&self, job: Job, err: ServiceError, worker: Option<usize>) {
         let outcome = outcome_for(&err);
+        // Every span is recorded before its reply goes out, so a caller
+        // that reads the flight recorder after its answer finds it there.
         let mut span = job.span;
-        match job.reply {
-            // The submitter may have dropped its handle; that's fine.
-            Reply::Direct(tx) => drop(tx.send(Err(err))),
-            Reply::Flight => {
-                let inflight =
-                    self.inflight.as_ref().expect("flight job without an in-flight table");
-                let waiters = inflight.resolve(&(job.seed, self.index.fingerprint()), Err(err));
-                self.finish_waiter_spans(waiters, outcome, worker);
-            }
-        }
         span.worker = worker.map_or(SUBMIT_WORKER, |w| w as u32);
         span.outcome = outcome;
         span.replied_ns = self.telemetry.recorder.now_ns();
@@ -741,13 +697,25 @@ impl Shared {
             Some(w) => self.telemetry.recorder.record_worker(w, &span),
             None => self.telemetry.recorder.record_submit(&span),
         };
+        match job.reply {
+            // The submitter may have dropped its handle; that's fine.
+            Reply::Direct(tx) => drop(tx.send(Err(err))),
+            Reply::Flight => {
+                let inflight =
+                    self.inflight.as_ref().expect("flight job without an in-flight table");
+                let key = (job.seed, self.index.fingerprint());
+                inflight.resolve(&key, Err(err), self.waiter_span_finisher(outcome, worker));
+            }
+        }
     }
 
     /// Finishes one computed job on worker `wid`: counters, histograms,
-    /// span kernel profile, cache insert, reply delivery (direct send or
-    /// flight resolution), span recording. The job's span already carries
-    /// its dequeue and compute stamps, so queue wait and compute time are
-    /// read off it.
+    /// span kernel profile, cache insert, span recording, then reply
+    /// delivery (direct send or flight resolution) — each span is recorded
+    /// before its reply, so it is in the flight recorder by the time its
+    /// answer is. The
+    /// job's span already carries its dequeue and compute stamps, so
+    /// queue wait and compute time are read off it.
     fn deliver(
         &self,
         wid: usize,
@@ -758,7 +726,6 @@ impl Shared {
         let counters = &self.counters;
         let telemetry = &self.telemetry;
         let mut span = job.span;
-        counters.completed.fetch_add(1, Ordering::Relaxed);
         telemetry.queue_wait.record(span.queue_wait_ns());
         telemetry.compute.record(span.compute_ns());
         let reply: QueryResult = match outcome {
@@ -796,29 +763,28 @@ impl Shared {
         };
         span.worker = wid as u32;
         span.replied_ns = telemetry.recorder.now_ns();
+        telemetry.total.record(span.total_ns());
+        telemetry.recorder.record_worker(wid, &span);
         match &job.reply {
             // The submitter may have dropped its handle; that's fine.
             Reply::Direct(tx) => drop(tx.send(reply)),
             Reply::Flight => {
                 let inflight =
                     self.inflight.as_ref().expect("flight job without an in-flight table");
-                let waiters = inflight.resolve(&(job.seed, fingerprint), reply);
-                self.finish_waiter_spans(waiters, waiter_outcome, Some(wid));
+                let finish = self.waiter_span_finisher(waiter_outcome, Some(wid));
+                inflight.resolve(&(job.seed, fingerprint), reply, finish);
             }
         }
-        telemetry.total.record(span.total_ns());
-        telemetry.recorder.record_worker(wid, &span);
     }
 }
 
 /// An embeddable concurrent query engine over one [`ClusterIndex`].
 ///
-/// * **Shared index** — graph + TNAM + params behind `Arc`s; worker
-///   engines are pointer copies.
-/// * **Worker pool** — `config.workers` threads, each holding a
-///   persistent [`laca_diffusion::DiffusionWorkspace`] checked out of a
-///   [`WorkspacePool`] for its lifetime (steady-state queries allocate
-///   nothing in the push loops).
+/// * **Shared index** — graph + TNAM + params behind `Arc`s; each
+///   worker's engine borrows them.
+/// * **Worker pool** — `config.workers` threads, each owning one
+///   [`DiffusionWorkspace`] for its lifetime (steady-state queries
+///   allocate nothing in the push loops).
 /// * **Bounded queue** — `submit` applies backpressure once
 ///   `config.queue_capacity` jobs are in flight.
 /// * **Result cache** — sharded LRU keyed `(seed, index-fingerprint)`,
@@ -842,7 +808,10 @@ impl QueryService {
         let cache_capacity = workers * config.cache_per_worker;
         let cache = (cache_capacity > 0).then(|| ShardedCache::new(cache_capacity, CACHE_SHARDS));
         let inflight = cache.as_ref().map(|_| InFlightTable::new());
-        let workspaces = WorkspacePool::for_graph(index.graph(), workers);
+        // Size every worker's scratch here, on the calling thread, so the
+        // cost lands in service start rather than in the first queries.
+        let workspaces: Vec<DiffusionWorkspace> =
+            (0..workers).map(|_| DiffusionWorkspace::for_graph(index.graph())).collect();
         let shared = Arc::new(Shared {
             index,
             queue: JobQueue::new(config.queue_capacity.max(1)),
@@ -850,18 +819,19 @@ impl QueryService {
             inflight,
             counters: Counters::default(),
             telemetry: ServiceTelemetry::new(workers),
-            workspaces,
             admission: config.admission,
             live_workers: AtomicUsize::new(workers),
             #[cfg(laca_fault_inject)]
             faults: config.fault_plan,
         });
-        let handles = (0..workers)
-            .map(|wid| {
+        let handles = workspaces
+            .into_iter()
+            .enumerate()
+            .map(|(wid, workspace)| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("laca-service-{wid}"))
-                    .spawn(move || worker_loop(&shared, wid))
+                    .spawn(move || worker_loop(&shared, wid, workspace))
                     .expect("failed to spawn service worker")
             })
             .collect();
@@ -983,18 +953,10 @@ impl QueryService {
                 };
             }
         };
-        // Under plain `Shed`, a full queue sheds every submission that
-        // is not a cache hit — even one that could have coalesced onto a
-        // live flight. `SmartShed` skips this probe: a join costs no
-        // queue slot and no compute, so it consults the in-flight table
-        // first and sheds only work that would enqueue.
-        if shared.admission == AdmissionPolicy::Shed && shared.queue.is_full() {
-            counters.shed.fetch_add(1, Ordering::Relaxed);
-            shared.finish_submit_span(span, SpanOutcome::Shed);
-            return QueryHandle::ready(Err(ServiceError::Overloaded));
-        }
         // Miss: join the key's in-flight computation if there is one,
-        // else lead a new flight. Leader and followers alike are parked
+        // else lead a new flight. A join costs no queue slot and no
+        // compute, so every policy admits it; only a leader's enqueue
+        // below can be shed. Leader and followers alike are parked
         // as waiters on the flight entry; a joiner's span parks with its
         // waiter and is finished by whoever resolves the flight.
         let (tx, rx) = mpsc::channel();
@@ -1029,10 +991,10 @@ impl QueryService {
                         }
                         // The flight must resolve on every leader path;
                         // this also serves any follower that joined since
-                        // (their parked spans come back for finishing).
+                        // (each parked span is finished before its reply).
                         let outcome = outcome_for(&e);
-                        let waiters = inflight.resolve(&key, Err(e));
-                        shared.finish_waiter_spans(waiters, outcome, None);
+                        let finish = shared.waiter_span_finisher(outcome, None);
+                        inflight.resolve(&key, Err(e), finish);
                         shared.finish_submit_span(span, outcome);
                     }
                 }
@@ -1042,17 +1004,15 @@ impl QueryService {
     }
 
     /// Enqueues per the admission policy: `Block` parks on a full queue,
-    /// the shedding policies convert "full" into
-    /// [`ServiceError::Overloaded`] without blocking.
+    /// `Shed` converts "full" into [`ServiceError::Overloaded`] without
+    /// blocking.
     fn admit(&self, job: Job) -> Result<(), ServiceError> {
         match self.shared.admission {
             AdmissionPolicy::Block => self.shared.queue.push(job),
-            AdmissionPolicy::Shed | AdmissionPolicy::SmartShed => {
-                self.shared.queue.try_push(job).map_err(|e| match e {
-                    TryPushError::Full(_) => ServiceError::Overloaded,
-                    TryPushError::Closed(_) => ServiceError::Closed,
-                })
-            }
+            AdmissionPolicy::Shed => self.shared.queue.try_push(job).map_err(|e| match e {
+                TryPushError::Full(_) => ServiceError::Overloaded,
+                TryPushError::Closed(_) => ServiceError::Closed,
+            }),
         }
     }
 
@@ -1077,6 +1037,8 @@ impl QueryService {
     /// A point-in-time snapshot of the hit/miss/latency counters.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.shared.counters;
+        let telemetry = &self.shared.telemetry;
+        let compute_hist = telemetry.compute.snapshot();
         // ordering: Relaxed loads are deliberate — the snapshot is
         // advisory telemetry, not a synchronization point; each field is
         // independently monotonic and `ServiceStats::delta_since`
@@ -1088,16 +1050,16 @@ impl QueryService {
             cache_hits: c.hits.load(Ordering::Relaxed),
             cache_misses: c.misses.load(Ordering::Relaxed),
             coalesced: c.coalesced.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
+            completed: compute_hist.count,
             errors: c.errors.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
             expired: c.expired.load(Ordering::Relaxed),
             retried: 0,
             drained: c.drained.load(Ordering::Relaxed),
             kernel_pushes: c.kernel_pushes.load(Ordering::Relaxed),
-            queue_wait_hist: self.shared.telemetry.queue_wait.snapshot(),
-            compute_hist: self.shared.telemetry.compute.snapshot(),
-            total_hist: self.shared.telemetry.total.snapshot(),
+            queue_wait_hist: telemetry.queue_wait.snapshot(),
+            compute_hist,
+            total_hist: telemetry.total.snapshot(),
         }
     }
 
@@ -1124,21 +1086,6 @@ impl QueryService {
             Some(&self.shared.telemetry.recorder),
         );
         registry
-    }
-
-    /// Zeroes the hit/miss/latency counters and the latency histograms,
-    /// so the next [`Self::stats`] snapshot covers only work submitted
-    /// after this call — benches use it to measure a warm window without
-    /// lifetime-aggregate noise (the gauges — cache entries/capacity,
-    /// workers — are unaffected, and the flight-recorder rings keep
-    /// their spans). Increments racing with the reset may be lost;
-    /// quiesce the service first when exact counts matter.
-    /// [`ServiceStats::delta_since`] is the non-destructive alternative.
-    pub fn reset_stats(&self) {
-        self.shared.counters.reset();
-        self.shared.telemetry.queue_wait.reset();
-        self.shared.telemetry.compute.reset();
-        self.shared.telemetry.total.reset();
     }
 
     /// Fences admission: closes the submission queue, so every later
@@ -1307,11 +1254,11 @@ impl Drop for QueryService {
     }
 }
 
-/// Body of one worker thread: one engine (pointer copies of the index),
-/// one workspace for life, then serve until the queue closes and drains.
-/// `wid` names the worker's flight-recorder ring (it is that ring's only
-/// producer).
-fn worker_loop(shared: &Shared, wid: usize) {
+/// Body of one worker thread: one engine borrowing the index, the
+/// worker's own workspace for life, then serve until the queue closes and
+/// drains. `wid` names the worker's flight-recorder ring (it is that
+/// ring's only producer).
+fn worker_loop(shared: &Shared, wid: usize, mut workspace: DiffusionWorkspace) {
     // Runs however the worker exits. If the exit is a panic that escaped
     // the per-job containment below, close the queue on the way out:
     // submitters then fail fast with `Closed` instead of enqueueing into
@@ -1355,7 +1302,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
         fn drop(&mut self) {
             if std::thread::panicking() {
                 if let (Some(key), Some(inflight)) = (&self.key, &self.shared.inflight) {
-                    inflight.resolve(key, Err(ServiceError::WorkerLost));
+                    inflight.resolve(key, Err(ServiceError::WorkerLost), drop);
                 }
             }
         }
@@ -1363,7 +1310,6 @@ fn worker_loop(shared: &Shared, wid: usize) {
 
     let engine = shared.index.engine();
     let fingerprint = shared.index.fingerprint();
-    let mut workspace = shared.workspaces.checkout();
     let recorder = &shared.telemetry.recorder;
     while let Some((mut job, drained)) = shared.queue.pop_drained() {
         job.span.dequeued_ns = recorder.now_ns();

@@ -13,7 +13,7 @@ use laca_core::tnam::TnamConfig;
 use laca_core::{Laca, LacaParams, MetricFn, Tnam};
 use laca_graph::gen::{AttributeSpec, AttributedGraphSpec};
 use laca_graph::{AttributedDataset, NodeId};
-use laca_service::{ClusterIndex, QueryService, ServiceConfig};
+use laca_service::{ClusterIndex, QueryService, ServiceConfig, ServiceStats, SpanOutcome};
 use std::sync::Arc;
 
 fn dataset() -> AttributedDataset {
@@ -81,6 +81,22 @@ fn concurrent_identical_misses_compute_once_bit_identical() {
 
     let answers: Vec<_> =
         target_handles.into_iter().map(|h| h.wait().expect("target query failed")).collect();
+    // Each span is recorded before its reply is sent, so the flight's
+    // whole timeline is in the recorder once the last waiter has its
+    // answer: the leader's compute and every follower's join.
+    let target_outcomes: Vec<SpanOutcome> = service
+        .flight_recorder()
+        .snapshot(64)
+        .iter()
+        .filter(|span| span.seed == u64::from(TARGET))
+        .map(|span| span.outcome)
+        .collect();
+    let count = |outcome| target_outcomes.iter().filter(|&&o| o == outcome).count();
+    assert_eq!(
+        (count(SpanOutcome::Computed), count(SpanOutcome::Coalesced)),
+        (1, WAITERS - 1),
+        "target spans {target_outcomes:?}"
+    );
     for h in plug_handles {
         h.wait().expect("plug query failed");
     }
@@ -186,44 +202,6 @@ fn lru_eviction_of_inflight_key_no_deadlock_no_double_compute() {
 }
 
 #[test]
-fn reset_stats_starts_a_clean_window() {
-    let ds = dataset();
-    let service = QueryService::start(
-        index(&ds, LacaParams::new(1e-3)),
-        ServiceConfig::default().with_workers(2).with_cache_per_worker(64),
-    );
-    let seeds: Vec<NodeId> = (0..10).collect();
-    for r in service.query_batch(&seeds) {
-        r.expect("warm-up query failed");
-    }
-    let lifetime = service.stats();
-    assert_eq!(lifetime.cache_misses, 10);
-    assert!(lifetime.compute_hist.sum > 0);
-
-    service.reset_stats();
-    let zeroed = service.stats();
-    assert_eq!(
-        (zeroed.cache_hits, zeroed.cache_misses, zeroed.coalesced, zeroed.completed),
-        (0, 0, 0, 0)
-    );
-    assert_eq!((zeroed.compute_hist.sum, zeroed.queue_wait_hist.sum, zeroed.errors), (0, 0, 0));
-    // Gauges survive the reset.
-    assert_eq!(zeroed.cache_entries, 10);
-    assert_eq!(zeroed.workers, 2);
-
-    // The next window counts only its own traffic: all 10 seeds are
-    // cached, so the warm pass is pure hits.
-    for r in service.query_batch(&seeds) {
-        r.expect("warm query failed");
-    }
-    let warm = service.stats();
-    assert_eq!(warm.cache_hits, 10);
-    assert_eq!(warm.cache_misses, 0);
-    assert_eq!(warm.completed, 0);
-    assert!((warm.hit_rate() - 1.0).abs() < 1e-12);
-}
-
-#[test]
 fn delta_since_subtracts_the_earlier_snapshot() {
     let ds = dataset();
     let service = QueryService::start(
@@ -247,46 +225,65 @@ fn delta_since_subtracts_the_earlier_snapshot() {
     assert!((window.hit_rate() - 1.0).abs() < 1e-12);
 }
 
-/// A measurement window that straddles a `reset_stats` must degrade to
-/// zeros (saturating subtraction), never wrap to astronomically large
-/// u64 deltas — exactly what a dashboard differencing snapshots around a
-/// counter reset would otherwise render.
+/// The exposition renders `laca_*_total` series and windows come from
+/// `delta_since`, so every counter and histogram total must only go up —
+/// even while workers are serving and snapshots race them.
 #[test]
-fn delta_since_saturates_across_a_reset_race() {
+fn counters_only_go_up_under_concurrent_snapshots() {
     let ds = dataset();
     let service = QueryService::start(
         index(&ds, LacaParams::new(1e-3)),
-        ServiceConfig::default().with_workers(1).with_cache_per_worker(64),
+        ServiceConfig::default().with_workers(2).with_cache_per_worker(16),
     );
-    let seeds: Vec<NodeId> = (0..8).collect();
-    for r in service.query_batch(&seeds) {
-        r.expect("cold query failed");
+    // Mixed stream: a hot head that hits and coalesces, plus a cold tail
+    // wide enough to keep missing and evicting.
+    let seeds: Vec<NodeId> =
+        (0..600u32).map(|i| if i % 3 == 0 { i % 5 } else { (i * 37) % 300 }).collect();
+    let totals = |s: &ServiceStats| {
+        [
+            s.cache_hits,
+            s.cache_misses,
+            s.coalesced,
+            s.completed,
+            s.errors,
+            s.shed,
+            s.expired,
+            s.retried,
+            s.drained,
+            s.kernel_pushes,
+            s.queue_wait_hist.count,
+            s.queue_wait_hist.sum,
+            s.compute_hist.count,
+            s.compute_hist.sum,
+            s.total_hist.count,
+            s.total_hist.sum,
+        ]
+    };
+    let snapshots = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            (0..50)
+                .map(|_| {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    service.stats()
+                })
+                .collect::<Vec<_>>()
+        });
+        for chunk in seeds.chunks(50) {
+            for r in service.query_batch(chunk) {
+                r.expect("mixed-stream query failed");
+            }
+        }
+        reader.join().unwrap()
+    });
+    let mut prev = [0u64; 16];
+    for (i, snap) in snapshots.iter().chain([&service.stats()]).enumerate() {
+        let now = totals(snap);
+        for (field, (&a, &b)) in prev.iter().zip(&now).enumerate() {
+            assert!(b >= a, "total #{field} went down at snapshot {i}: {a} -> {b}");
+        }
+        prev = now;
     }
-    let before = service.stats();
-    assert_eq!(before.completed, 8);
-
-    // The reset lands between the window's two snapshots.
-    service.reset_stats();
-    for r in service.query_batch(&seeds) {
-        r.expect("warm query failed");
-    }
-    let after = service.stats();
-    let window = after.delta_since(&before);
-
-    // Post-reset counters are below the pre-reset snapshot: every
-    // monotonic field saturates at zero instead of wrapping...
-    assert_eq!(window.completed, 0);
-    assert_eq!(window.cache_misses, 0);
-    assert_eq!(window.compute_hist.sum, 0);
-    assert_eq!(window.queue_wait_hist.sum, 0);
-    // ...fields that genuinely grew in the window still show their
-    // growth (8 warm hits against a hit-free `before`)...
-    assert_eq!(window.cache_hits, 8);
-    // ...and no delta can exceed the later snapshot itself — the "read
-    // consistency" bound that makes a raced window safe to display.
-    assert!(window.completed <= after.completed);
-    assert!(window.cache_hits <= after.cache_hits);
-    // Gauges pass through from the later snapshot untouched.
-    assert_eq!(window.workers, 1);
-    assert_eq!(window.cache_entries, after.cache_entries);
+    let end = service.stats();
+    assert_eq!(end.cache_hits + end.cache_misses + end.coalesced, seeds.len() as u64);
+    assert!(end.cache_hits > 0 && end.cache_misses > 0, "the stream must mix hits and misses");
 }

@@ -141,14 +141,19 @@ fn cache_hits_return_the_same_answer_and_count_in_stats() {
     assert_eq!(stats.compute_hist.count, stats.completed, "compute histogram count");
     assert_eq!(stats.queue_wait_hist.count, stats.completed, "queue-wait histogram count");
     // The flight recorder holds both sides of the mixed workload: hits
-    // from the submit-path ring, computes from the worker rings. A
-    // worker records its span just after replying, so only each worker's
-    // last compute can still be unrecorded here; 10 computes over 2
-    // workers leave at least 8 in the rings.
-    let outcomes: Vec<SpanOutcome> =
-        service.flight_recorder().snapshot(64).iter().map(|span| span.outcome).collect();
+    // from the submit-path ring, computes from the worker rings. A worker
+    // records its span before it replies, so every compute is already
+    // there once its answer is.
+    let spans = service.flight_recorder().snapshot(64);
+    let outcomes: Vec<SpanOutcome> = spans.iter().map(|span| span.outcome).collect();
     assert!(outcomes.contains(&SpanOutcome::Hit), "no hit span in {outcomes:?}");
-    assert!(outcomes.contains(&SpanOutcome::Computed), "no computed span in {outcomes:?}");
+    let mut computed: Vec<u64> = spans
+        .iter()
+        .filter(|span| span.outcome == SpanOutcome::Computed)
+        .map(|span| span.seed)
+        .collect();
+    computed.sort_unstable();
+    assert_eq!(computed, (0..10).collect::<Vec<u64>>(), "computed spans in {outcomes:?}");
 }
 
 #[test]

@@ -259,7 +259,7 @@ fn drain_under_faulty_traffic_resolves_every_handle() {
                 .with_workers(2)
                 .with_queue_capacity(64)
                 .with_cache_per_worker(32)
-                .with_admission(AdmissionPolicy::SmartShed)
+                .with_admission(AdmissionPolicy::Shed)
                 .with_fault_plan(plan),
         )
         .unwrap();

@@ -1,5 +1,5 @@
-//! Overload-handling suite: admission policies (shed vs block vs
-//! smart-shed), per-query deadlines and cancellation, retry-with-backoff
+//! Overload-handling suite: admission policies (shed vs block),
+//! per-query deadlines and cancellation, retry-with-backoff
 //! through the router, and graceful drain — plus a property test that
 //! random (policy, capacity, deadline) configurations always resolve
 //! every submission and keep the admission accounting exact.
@@ -120,6 +120,8 @@ fn shed_policy_bounds_the_queue_and_accounts_for_rejections() {
     );
 }
 
+/// Hot-key skew under `Shed` with the cache on (the `overload/smart/x4`
+/// bench leg's scenario): only work that would enqueue is ever shed.
 #[test]
 fn smart_shed_never_rejects_a_hot_key_that_can_coalesce() {
     let ds = dataset();
@@ -129,11 +131,11 @@ fn smart_shed_never_rejects_a_hot_key_that_can_coalesce() {
             .with_workers(1)
             .with_queue_capacity(1)
             .with_cache_per_worker(64)
-            .with_admission(AdmissionPolicy::SmartShed),
+            .with_admission(AdmissionPolicy::Shed),
     ));
     // 4 threads hammer one seed through a 1-deep queue. Exactly one
     // submission leads the flight; every other one either joins it or
-    // hits the cache once the flight lands — SmartShed admits them all,
+    // hits the cache once the flight lands — `Shed` admits them all,
     // full queue or not, because a join occupies no queue slot.
     let threads: Vec<_> = (0..4)
         .map(|_| {
@@ -145,13 +147,69 @@ fn smart_shed_never_rejects_a_hot_key_that_can_coalesce() {
         .collect();
     for t in threads {
         for result in t.join().unwrap() {
-            assert!(result.is_ok(), "hot-key traffic must never shed under SmartShed");
+            assert!(result.is_ok(), "hot-key traffic must never shed under Shed");
         }
     }
     let stats = service.stats();
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.cache_misses, 1, "single-flight: exactly one leader computes");
     assert_eq!(stats.cache_hits + stats.coalesced, 4 * 50 - 1);
+}
+
+/// `Shed` admits a join onto a live flight while the queue is full. One
+/// thread submits everything, and only its own submissions fill the
+/// queue, so a shed before the join and a shed after it prove the queue
+/// was full — holding the same queued job — the whole time in between.
+#[test]
+fn shed_admits_a_join_while_the_queue_is_full() {
+    let ds = dataset();
+    let params = LacaParams::new(1e-5);
+    let service = QueryService::start(
+        index(&ds, params.clone()),
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_queue_capacity(1)
+            .with_cache_per_worker(512)
+            .with_admission(AdmissionPolicy::Shed),
+    );
+    let shed_count = || service.stats().shed;
+    let mut fresh = 1..ds.graph.n() as NodeId;
+    let mut proven = 0;
+    let mut joined = Vec::new();
+    for _ in 0..20 {
+        // Submit fresh seeds until one sheds: the 1-deep queue then holds
+        // exactly the last admitted job, whose flight is live.
+        let mut admitted = Vec::new();
+        let queued = loop {
+            let seed = fresh.next().expect("ran out of fresh seeds");
+            let before = shed_count();
+            let handle = service.submit(seed);
+            if shed_count() > before {
+                assert_eq!(resolve(handle).unwrap_err(), ServiceError::Overloaded);
+                break admitted.last().map(|&(s, _)| s).expect("an idle worker admits a job");
+            }
+            admitted.push((seed, handle));
+        };
+        let before = service.stats();
+        let join = service.submit(queued);
+        let after_join = service.stats();
+        let probe = service.submit(fresh.next().expect("ran out of fresh seeds"));
+        if shed_count() > after_join.shed {
+            assert_eq!(after_join.shed, before.shed, "a join was shed while the queue was full");
+            assert_eq!(after_join.coalesced, before.coalesced + 1, "the join did not coalesce");
+            proven += 1;
+        }
+        joined.push((queued, resolve(join).expect("joined query failed")));
+        drop(resolve(probe));
+        for (_, handle) in admitted {
+            resolve(handle).expect("admitted query failed");
+        }
+    }
+    assert!(proven > 0, "no attempt kept the queue full across the join");
+    let seeds: Vec<NodeId> = joined.iter().map(|&(s, _)| s).collect();
+    for ((_, answer), expected) in joined.iter().zip(serial_bits(&ds, &params, &seeds)) {
+        assert_eq!(bit_pairs(&answer.rho), expected, "a joined answer diverged from serial");
+    }
 }
 
 #[test]
@@ -353,15 +411,14 @@ proptest! {
     /// `misses == completed + expired` once the service drains.
     #[test]
     fn every_configuration_resolves_every_submission_with_exact_accounting(
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
         capacity in 1usize..8,
         workers in 1usize..3,
         cache_per_worker in 0usize..12,
         deadline_idx in 0usize..3,
         n_queries in 8usize..48,
     ) {
-        let policy = [AdmissionPolicy::Block, AdmissionPolicy::Shed, AdmissionPolicy::SmartShed]
-            [policy_idx];
+        let policy = [AdmissionPolicy::Block, AdmissionPolicy::Shed][policy_idx];
         let deadline = [None, Some(Duration::ZERO), Some(Duration::from_secs(30))][deadline_idx];
         let (ds, params) = prop_fixture();
         let service = QueryService::start(

@@ -120,8 +120,13 @@ fn routes_answer_under_their_own_params_and_stats_stay_isolated() {
     assert_eq!(agg.workers, 2);
     assert_eq!(router.stats_by_route().len(), 2);
 
-    router.reset_stats();
-    assert_eq!(router.aggregate_stats().completed, 0);
+    // A window is a snapshot pair: one more query shows up as exactly
+    // one miss and one completion, while the lifetime totals keep going.
+    let before = router.aggregate_stats();
+    router.query(&fine, 4).expect("routed query failed");
+    let window = router.aggregate_stats().delta_since(&before);
+    assert_eq!((window.cache_misses, window.completed), (1, 1));
+    assert_eq!(router.aggregate_stats().completed, 3);
 }
 
 #[test]

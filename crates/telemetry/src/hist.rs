@@ -118,20 +118,6 @@ impl LogHistogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes every counter. Advisory, like any telemetry reset:
-    /// samples recorded concurrently with the reset may land wholly,
-    /// partially, or not at all. Exists so a stats reset can keep the
-    /// histogram in lockstep with its companion sample counters.
-    pub fn reset(&self) {
-        // ordering: advisory telemetry reset; racing records may be
-        // lost, same contract as a counter reset.
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A plain-value copy of a [`LogHistogram`]: mergeable, comparable, and

@@ -67,7 +67,7 @@ fn main() {
     //    route; the flight computes once and everyone shares the answer.
     let hot_route = keys[0].clone();
     let service = router.route(&hot_route).expect("route");
-    service.reset_stats();
+    let before = service.stats();
     let router = Arc::new(router);
     let swarm: Vec<_> = (0..8)
         .map(|_| {
@@ -78,7 +78,7 @@ fn main() {
         .collect();
     let answers: Vec<_> = swarm.into_iter().map(|h| h.join().unwrap()).collect();
     let all_shared = answers.iter().all(|a| Arc::ptr_eq(a, &answers[0]));
-    let stats = service.stats();
+    let stats = service.stats().delta_since(&before);
     println!(
         "swarm of 8 on one seed: {} compute(s), {} coalesced, {} hits, shared answer: {}",
         stats.completed, stats.coalesced, stats.cache_hits, all_shared
