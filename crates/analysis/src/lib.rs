@@ -10,7 +10,7 @@
 //! | `condvar-wait-in-loop` | `crates/service` | every `Condvar::wait` sits inside a `loop`/`while` re-checking its predicate |
 //! | `lock-acquisition-order` | `crates/service` | nested lock acquisitions follow the declared hierarchy |
 //! | `relaxed-ordering-justified` | non-test code | `Ordering::Relaxed` outside monotonic RMW counters carries an `// ordering:` note |
-//! | `no-bare-unwrap` | `crates/{service,persist}/src` non-test | no `.unwrap()`; use typed errors or `expect` with the invariant |
+//! | `no-bare-unwrap` | `crates/{service,persist,core,diffusion,baselines}/src` non-test | no `.unwrap()`; use typed errors or `expect` with the invariant |
 //!
 //! The scanner is deliberately **not** a full parser (no `syn` — the
 //! workspace builds offline): it splits each line into code and comment
@@ -327,14 +327,24 @@ fn is_service_src(path: &str) -> bool {
     p.contains("crates/service/src/")
 }
 
-/// Non-test sources where bare `.unwrap()` is banned: the serving crate
-/// plus the persistence crate — a loader that panics on malformed input
-/// would defeat `laca-persist`'s fail-closed typed-error contract. The
-/// concurrency rules (condvar/lock-order) stay service-only; persistence
-/// has no locks to order.
+/// Non-test sources where bare `.unwrap()` is banned: the serving crate,
+/// the persistence crate — a loader that panics on malformed input would
+/// defeat `laca-persist`'s fail-closed typed-error contract — and the
+/// query path beneath them (`laca-core`, `laca-diffusion`) plus the
+/// baselines that share its kernel. The concurrency rules
+/// (condvar/lock-order) stay service-only; none of these has locks to
+/// order.
 fn is_no_unwrap_src(path: &str) -> bool {
     let p = path.replace('\\', "/");
-    is_service_src(path) || p.contains("crates/persist/src/")
+    is_service_src(path)
+        || [
+            "crates/persist/src/",
+            "crates/core/src/",
+            "crates/diffusion/src/",
+            "crates/baselines/src/",
+        ]
+        .iter()
+        .any(|dir| p.contains(dir))
 }
 
 /// Test-ish files: integration test dirs and `*_tests.rs` modules (the

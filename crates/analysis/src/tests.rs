@@ -378,18 +378,25 @@ fn ordering_note_expires_with_its_scope() {
 fn bare_unwrap_is_flagged_in_service_sources_only() {
     let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
     assert_eq!(rules_of(&lint_service(src)), vec![RULE_UNWRAP]);
-    let elsewhere = lint_source("crates/diffusion/src/fixture.rs", src);
+    let elsewhere = lint_source("crates/graph/src/fixture.rs", src);
     assert!(elsewhere.findings.is_empty(), "{:?}", elsewhere.findings);
 }
 
 #[test]
 fn persist_sources_are_inside_the_unwrap_scope_but_not_the_lock_rules() {
     // `crates/persist/src` joins the no-bare-unwrap scope (a loader that
-    // panics on malformed input defeats its fail-closed contract), but
-    // the service-only concurrency rules must not follow: persistence
-    // has no condvars or lock hierarchy.
+    // panics on malformed input defeats its fail-closed contract), and so
+    // do the query-path crates beneath it, but the service-only
+    // concurrency rules must not follow: none of them has condvars or a
+    // lock hierarchy.
     let unwrap_src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-    for path in ["crates/persist/src/format.rs", "crates/persist/src/store.rs"] {
+    for path in [
+        "crates/persist/src/format.rs",
+        "crates/persist/src/store.rs",
+        "crates/core/src/laca.rs",
+        "crates/diffusion/src/workspace.rs",
+        "crates/baselines/src/embed_cluster.rs",
+    ] {
         let report = lint_source(path, unwrap_src);
         assert_eq!(rules_of(&report), vec![RULE_UNWRAP], "{path} not in unwrap scope");
     }

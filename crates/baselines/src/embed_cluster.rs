@@ -13,6 +13,7 @@
 //! All extractors trim/pad to the requested size by seed distance so the
 //! `|Cs| = |Ys|` protocol applies uniformly.
 
+use laca_diffusion::sparse_vec::by_rank;
 use laca_graph::NodeId;
 use laca_linalg::dense::dot;
 use laca_linalg::DenseMatrix;
@@ -37,7 +38,7 @@ pub fn knn_cluster(emb: &DenseMatrix, seed: NodeId, size: usize) -> Vec<NodeId> 
     let srow = emb.row(seed as usize);
     let mut scored: Vec<(NodeId, f64)> =
         (0..n).map(|v| (v as NodeId, cosine(srow, emb.row(v)))).collect();
-    scored.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    scored.sort_unstable_by(by_rank);
     let mut out: Vec<NodeId> = vec![seed];
     for (v, _) in scored {
         if out.len() >= size.max(1) {
@@ -102,8 +103,8 @@ pub fn kmeans_cluster(
                 .iter()
                 .enumerate()
                 .map(|(c, cent)| (c, sq_dist(row, cent)))
-                .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap())
-                .unwrap();
+                .min_by(|x, y| x.1.total_cmp(&y.1))
+                .expect("k-means++ seeds at least one centroid");
             if *a != best {
                 *a = best;
                 changed = true;
@@ -245,7 +246,7 @@ fn trim_or_pad(emb: &DenseMatrix, seed: NodeId, size: usize, members: Vec<NodeId
     let srow = emb.row(seed as usize);
     let mut scored: Vec<(NodeId, f64)> =
         members.iter().map(|&v| (v, cosine(srow, emb.row(v as usize)))).collect();
-    scored.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    scored.sort_unstable_by(by_rank);
     let mut out: Vec<NodeId> = vec![seed];
     let mut seen: rustc_hash::FxHashSet<NodeId> = [seed].into_iter().collect();
     for (v, _) in scored {

@@ -1,26 +1,32 @@
 //! PR-Nibble (Andersen–Chung–Lang, FOCS'06 — citation \[15\]) and its
 //! attribute-reweighted variant APR-Nibble.
 //!
-//! Classic queue-driven approximate personalized PageRank push: while some
-//! node has residual `r(u) ≥ ε·d(u)`, convert `(1−α)·r(u)` into the
-//! estimate and spread `α·r(u)` over the neighbors. Scores are
-//! degree-normalized (`p(u)/d(u)`) before ranking/sweeping, as in the
-//! original sweep-cut analysis.
+//! Approximate personalized PageRank push: while some node has residual
+//! `r(u) ≥ ε·d(u)`, convert `(1−α)·r(u)` into the estimate and spread
+//! `α·r(u)` over the neighbors. That is exactly GreedyDiffuse (Algo. 1)
+//! from a unit vector, so the push runs on the same kernel as LACA
+//! ([`greedy_run_in`] over the thread's [`DiffusionWorkspace`]): every
+//! above-threshold node is pushed per round, in ascending node order.
+//! Scores are degree-normalized (`p(u)/d(u)`) before ranking/sweeping, as
+//! in the original sweep-cut analysis.
 //!
 //! APR-Nibble is PR-Nibble run on the Gaussian-kernel reweighted graph
 //! ([`crate::kernel::gaussian_reweighted`]), matching the paper's
 //! description ("edges weighted by the Gaussian kernel of their endpoints'
 //! attribute vectors").
+//!
+//! [`DiffusionWorkspace`]: laca_diffusion::DiffusionWorkspace
 
 use crate::{BaselineError, Score};
-use laca_diffusion::SparseVec;
+use laca_diffusion::workspace::with_thread_workspace;
+use laca_diffusion::{greedy_run_in, DiffusionParams, SparseVec};
 use laca_graph::{CsrGraph, NodeId};
-use std::collections::VecDeque;
 
-/// Queue-based approximate PPR push.
+/// Approximate PPR push from `seed`.
 ///
-/// Returns the (un-normalized) PPR estimate `p` with the ACL guarantee
-/// `‖p − π_s‖∞-style` residual control `r(u) < ε·d(u)` for all `u`.
+/// Returns the (un-normalized) PPR estimate `p` with the ACL residual
+/// guarantee `r(u) < ε·d(u)` for all `u`. `α` must lie in `(0, 1)` and
+/// `ε` must be positive (NaN is rejected).
 pub fn approximate_ppr(
     graph: &CsrGraph,
     seed: NodeId,
@@ -30,38 +36,11 @@ pub fn approximate_ppr(
     if seed as usize >= graph.n() {
         return Err(BaselineError::BadSeed(seed));
     }
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(BaselineError::BadParameter("alpha outside (0,1)"));
-    }
-    if epsilon <= 0.0 {
-        return Err(BaselineError::BadParameter("epsilon must be > 0"));
-    }
-    let mut p = SparseVec::new();
-    let mut r = SparseVec::unit(seed);
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    queue.push_back(seed);
-    let mut queued: rustc_hash::FxHashSet<NodeId> = [seed].into_iter().collect();
-    while let Some(u) = queue.pop_front() {
-        queued.remove(&u);
-        let d = graph.weighted_degree(u);
-        let ru = r.get(u);
-        if ru < epsilon * d {
-            continue;
-        }
-        r.take(u);
-        p.add(u, (1.0 - alpha) * ru);
-        let spread = alpha * ru / d;
-        for (v, w) in graph.edges_of(u) {
-            r.add(v, spread * w);
-            if r.get(v) >= epsilon * graph.weighted_degree(v) && queued.insert(v) {
-                queue.push_back(v);
-            }
-        }
-        // u may have received residual back from itself via multi-edges?
-        // (no self-loops exist, but neighbors may push back later; they
-        // re-enqueue u then).
-    }
-    Ok(p)
+    let params = DiffusionParams::new(alpha, epsilon);
+    with_thread_workspace(|ws| {
+        greedy_run_in(graph, &SparseVec::unit(seed), &params, ws)?;
+        Ok(ws.reserve_into().iter().copied().collect())
+    })
 }
 
 /// PR-Nibble local clusterer.
@@ -182,6 +161,7 @@ mod tests {
         assert!(approximate_ppr(&g, 9999, 0.8, 1e-4).is_err());
         assert!(approximate_ppr(&g, 0, 1.5, 1e-4).is_err());
         assert!(approximate_ppr(&g, 0, 0.8, 0.0).is_err());
+        assert!(approximate_ppr(&g, 0, 0.8, f64::NAN).is_err());
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! `cargo run --release -p laca-bench --bin exp_fig9_params -- --param alpha`
 //! (`--param sigma`, `--param k`, or no `--param` for all three sweeps)
 
-use laca_bench::{banner, load_dataset, ExpArgs};
+use laca_bench::{banner, load_dataset, mean_precision, ExpArgs};
 use laca_core::{Laca, LacaParams, MetricFn, Tnam, TnamConfig};
 use laca_eval::harness::sample_seeds;
-use laca_eval::metrics::precision;
 use laca_eval::table::{fmt3, Table};
 use laca_graph::AttributedDataset;
 
@@ -17,15 +16,10 @@ fn avg_precision(
     tnam: &Tnam,
     params: &LacaParams,
     seeds: &[laca_graph::NodeId],
+    label: &str,
 ) -> f64 {
     let engine = Laca::new(&ds.graph, Some(tnam), params.clone()).unwrap();
-    let mut acc = 0.0;
-    for &s in seeds {
-        let truth = ds.ground_truth(s);
-        let cluster = engine.cluster(s, truth.len()).unwrap_or_default();
-        acc += precision(&cluster, truth);
-    }
-    acc / seeds.len() as f64
+    mean_precision(ds, seeds, label, |s, size| engine.cluster(s, size)).0
 }
 
 fn main() {
@@ -75,9 +69,11 @@ fn main() {
                             let k = if v < 0.0 { ds.attributes.dim() } else { v as usize };
                             let tnam =
                                 Tnam::build(&ds.attributes, &TnamConfig::new(k, metric)).unwrap();
-                            let p = avg_precision(&ds, &tnam, &LacaParams::new(1e-7), &seeds);
+                            let label = format!("[{name}] {mlabel} k={k}");
+                            let params = LacaParams::new(1e-7);
+                            let p = avg_precision(&ds, &tnam, &params, &seeds, &label);
                             rows[ri].push(fmt3(p));
-                            eprintln!("[{name}] {mlabel} k={k}: {p:.3}");
+                            eprintln!("{label}: {p:.3}");
                         }
                     }
                     _ => {
@@ -88,9 +84,10 @@ fn main() {
                                 "alpha" => LacaParams::new(1e-7).with_alpha(v.max(0.01)),
                                 _ => LacaParams::new(1e-7).with_sigma(v),
                             };
-                            let p = avg_precision(&ds, &tnam, &params, &seeds);
+                            let label = format!("[{name}] {mlabel} {sweep}={v:.1}");
+                            let p = avg_precision(&ds, &tnam, &params, &seeds, &label);
                             rows[ri].push(fmt3(p));
-                            eprintln!("[{name}] {mlabel} {sweep}={v:.1}: {p:.3}");
+                            eprintln!("{label}: {p:.3}");
                         }
                     }
                 }

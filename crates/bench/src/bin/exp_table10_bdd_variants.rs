@@ -6,12 +6,11 @@
 //!
 //! `cargo run --release -p laca-bench --bin exp_table10_bdd_variants -- --seeds 15`
 
-use laca_bench::{banner, load_dataset, ExpArgs};
+use laca_bench::{banner, load_dataset, mean_precision, ExpArgs};
 use laca_core::extract::top_k_cluster;
 use laca_core::variants::{bdd_variant_score, snas_reweighted_graph, BddVariant};
 use laca_core::{Laca, LacaParams, MetricFn, Tnam, TnamConfig};
 use laca_eval::harness::sample_seeds;
-use laca_eval::metrics::precision;
 use laca_eval::table::{fmt3, Table};
 use laca_graph::datasets::ATTRIBUTED_NAMES;
 
@@ -41,27 +40,19 @@ fn main() {
             let reweighted = snas_reweighted_graph(&ds.graph, &tnam, 1e-9);
             // LACA row.
             let engine = Laca::new(&ds.graph, Some(&tnam), params.clone()).unwrap();
-            let mut acc = 0.0;
-            for &s in &seeds {
-                let truth = ds.ground_truth(s);
-                acc += precision(&engine.cluster(s, truth.len()).unwrap_or_default(), truth);
-            }
-            let p = acc / seeds.len() as f64;
-            eprintln!("[{name}] LACA({mlabel}): {p:.3}");
+            let label = format!("[{name}] LACA({mlabel})");
+            let (p, _) = mean_precision(&ds, &seeds, &label, |s, size| engine.cluster(s, size));
+            eprintln!("{label}: {p:.3}");
             rows[row_idx].push(fmt3(p));
             row_idx += 1;
             // Variant rows.
             for variant in BddVariant::ALL {
-                let mut acc = 0.0;
-                for &s in &seeds {
-                    let truth = ds.ground_truth(s);
-                    let rho = bdd_variant_score(&ds.graph, &reweighted, variant, s, &params)
-                        .unwrap_or_default();
-                    let cluster = top_k_cluster(&rho, s, truth.len());
-                    acc += precision(&cluster, truth);
-                }
-                let p = acc / seeds.len() as f64;
-                eprintln!("[{name}] LACA({mlabel})-{}: {p:.3}", variant.label());
+                let label = format!("[{name}] LACA({mlabel})-{}", variant.label());
+                let (p, _) = mean_precision(&ds, &seeds, &label, |s, size| {
+                    bdd_variant_score(&ds.graph, &reweighted, variant, s, &params)
+                        .map(|rho| top_k_cluster(&rho, s, size))
+                });
+                eprintln!("{label}: {p:.3}");
                 rows[row_idx].push(fmt3(p));
                 row_idx += 1;
             }

@@ -5,13 +5,12 @@
 //!
 //! `cargo run --release -p laca-bench --bin exp_table11_similarity -- --seeds 10`
 
-use laca_bench::{banner, load_dataset, ExpArgs};
+use laca_bench::{banner, load_dataset, mean_precision, ExpArgs};
 use laca_core::extract::top_k_cluster;
 use laca_core::snas::AltMetricFn;
 use laca_core::variants::{alt_snas_bdd, AltSnasOracle};
 use laca_core::{Laca, LacaParams, MetricFn, Tnam, TnamConfig};
 use laca_eval::harness::sample_seeds;
-use laca_eval::metrics::precision;
 use laca_eval::table::{fmt3, Table};
 
 fn main() {
@@ -37,25 +36,20 @@ fn main() {
         for (row, metric) in [(0usize, MetricFn::Cosine), (1, MetricFn::ExpCosine { delta: 1.0 })] {
             let tnam = Tnam::build(&ds.attributes, &TnamConfig::new(32, metric)).unwrap();
             let engine = Laca::new(&ds.graph, Some(&tnam), params.clone()).unwrap();
-            let mut acc = 0.0;
-            for &s in &seeds {
-                let truth = ds.ground_truth(s);
-                acc += precision(&engine.cluster(s, truth.len()).unwrap_or_default(), truth);
-            }
-            rows[row].push(fmt3(acc / seeds.len() as f64));
+            let label = format!("[{name}] {}", rows[row][0]);
+            let (p, _) = mean_precision(&ds, &seeds, &label, |s, size| engine.cluster(s, size));
+            rows[row].push(fmt3(p));
         }
         // Brute-force alternatives.
         for (row, metric) in [(2usize, AltMetricFn::Jaccard), (3, AltMetricFn::Pearson)] {
             let t0 = std::time::Instant::now();
             let oracle = AltSnasOracle::new(&ds.attributes, metric).unwrap();
             eprintln!("[{name}] {metric:?} denominators in {:?}", t0.elapsed());
-            let mut acc = 0.0;
-            for &s in &seeds {
-                let truth = ds.ground_truth(s);
-                let rho = alt_snas_bdd(&ds.graph, &oracle, s, &params).unwrap_or_default();
-                acc += precision(&top_k_cluster(&rho, s, truth.len()), truth);
-            }
-            rows[row].push(fmt3(acc / seeds.len() as f64));
+            let label = format!("[{name}] {}", rows[row][0]);
+            let (p, _) = mean_precision(&ds, &seeds, &label, |s, size| {
+                alt_snas_bdd(&ds.graph, &oracle, s, &params).map(|rho| top_k_cluster(&rho, s, size))
+            });
+            rows[row].push(fmt3(p));
         }
         eprintln!("[{name}] done");
     }

@@ -3,11 +3,10 @@
 //!
 //! `cargo run --release -p laca-bench --bin exp_table6_ablation -- --seeds 20`
 
-use laca_bench::{banner, load_dataset, ExpArgs};
+use laca_bench::{banner, load_dataset, mean_precision, ExpArgs};
 use laca_core::variants::{variant_cluster, LacaVariant};
 use laca_core::{LacaParams, MetricFn, TnamConfig};
 use laca_eval::harness::sample_seeds;
-use laca_eval::metrics::precision;
 use laca_eval::table::{fmt3, Table};
 use laca_graph::datasets::ATTRIBUTED_NAMES;
 
@@ -35,16 +34,11 @@ fn main() {
             let base_cfg = TnamConfig::new(32, metric);
             for variant in LacaVariant::ALL {
                 let tnam = variant.build_tnam(&ds.attributes, &base_cfg).unwrap();
-                let mut acc = 0.0;
-                for &s in &seeds {
-                    let truth = ds.ground_truth(s);
-                    let cluster =
-                        variant_cluster(&ds.graph, tnam.as_ref(), variant, &params, s, truth.len())
-                            .unwrap_or_default();
-                    acc += precision(&cluster, truth);
-                }
-                let p = acc / seeds.len() as f64;
-                eprintln!("[{name}] LACA({mlabel}) {}: {p:.3}", variant.label());
+                let label = format!("[{name}] LACA({mlabel}) {}", variant.label());
+                let (p, _) = mean_precision(&ds, &seeds, &label, |s, size| {
+                    variant_cluster(&ds.graph, tnam.as_ref(), variant, &params, s, size)
+                });
+                eprintln!("{label}: {p:.3}");
                 rows[row_idx].push(fmt3(p));
                 row_idx += 1;
             }

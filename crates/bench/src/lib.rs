@@ -10,8 +10,9 @@
 //! * `--datasets a,b,c` — restrict to named datasets,
 //! * `--out DIR` — also write CSVs (default `results/`).
 
+use laca_eval::metrics::precision_at;
 use laca_graph::datasets::{by_name, default_scale};
-use laca_graph::AttributedDataset;
+use laca_graph::{AttributedDataset, NodeId};
 use std::path::PathBuf;
 
 pub mod bench_json;
@@ -119,6 +120,38 @@ pub fn load_dataset(name: &str, extra_scale: f64) -> AttributedDataset {
     ds
 }
 
+/// Mean precision of `cluster` over `seeds`, scored as Table V scores it
+/// (`precision_at(C, Y, |Y|)`, the [`laca_eval::harness::evaluate`]
+/// definition): an answer shorter than `|Y|` is charged for the missing
+/// slots. A query that errors is left out of the mean, never scored, and
+/// the failures are printed under `label`. Returns `(mean, failures)`;
+/// the mean is 0 when every query failed.
+pub fn mean_precision<E: std::fmt::Display>(
+    ds: &AttributedDataset,
+    seeds: &[NodeId],
+    label: &str,
+    mut cluster: impl FnMut(NodeId, usize) -> Result<Vec<NodeId>, E>,
+) -> (f64, usize) {
+    let (mut sum, mut answered, mut first_error) = (0.0, 0usize, None);
+    for &s in seeds {
+        let truth = ds.ground_truth(s);
+        match cluster(s, truth.len()) {
+            Ok(c) => {
+                sum += precision_at(&c, truth, truth.len());
+                answered += 1;
+            }
+            Err(e) => {
+                first_error.get_or_insert_with(|| e.to_string());
+            }
+        }
+    }
+    let failures = seeds.len() - answered;
+    if let Some(e) = first_error {
+        eprintln!("{label}: {failures} of {} queries failed, excluded (first: {e})", seeds.len());
+    }
+    (if answered == 0 { 0.0 } else { sum / answered as f64 }, failures)
+}
+
 /// Prints a section header in the experiment binaries' output.
 pub fn banner(title: &str) {
     println!("\n==== {title} ====");
@@ -167,6 +200,42 @@ mod tests {
     fn unknown_flags_are_errors() {
         let err = parse(&["--sede", "4"]).unwrap_err();
         assert!(err.contains("--sede"), "{err}");
+    }
+
+    #[test]
+    fn mean_precision_charges_short_answers_and_excludes_failures() {
+        let ds = laca_graph::gen::AttributedGraphSpec {
+            n: 60,
+            n_clusters: 2,
+            avg_degree: 4.0,
+            p_intra: 0.9,
+            missing_intra: 0.0,
+            degree_exponent: 2.5,
+            cluster_size_skew: 0.0,
+            attributes: None,
+            seed: 3,
+        }
+        .generate("mean-precision")
+        .unwrap();
+        let seeds = [0, 1, 2];
+        // The seed alone is one hit out of |Y| slots, not a perfect 1.0.
+        let (p, failed) = mean_precision(&ds, &seeds, "seed-only", |s, _| Ok::<_, String>(vec![s]));
+        let want: f64 =
+            seeds.iter().map(|&s| 1.0 / ds.ground_truth(s).len() as f64).sum::<f64>() / 3.0;
+        assert_eq!((p, failed), (want, 0));
+        // A failed query is counted, not scored as 0 or 1.
+        let (p, failed) = mean_precision(&ds, &seeds, "one-fails", |s, size| {
+            if s == 1 {
+                Err("no answer".to_string())
+            } else {
+                Ok(ds.ground_truth(s)[..size].to_vec())
+            }
+        });
+        assert_eq!((p, failed), (1.0, 1));
+        let (p, failed) = mean_precision(&ds, &seeds, "all-fail", |_, _| {
+            Err::<Vec<NodeId>, _>("no answer".to_string())
+        });
+        assert_eq!((p, failed), (0.0, 3));
     }
 
     #[test]

@@ -29,23 +29,9 @@ use crate::extract::top_k_cluster_from_pairs;
 use crate::{CoreError, Tnam};
 use laca_diffusion::workspace::with_thread_workspace;
 use laca_diffusion::{
-    adaptive_run_in, greedy_run_in, nongreedy_run_in, DiffusionParams, DiffusionStats,
-    DiffusionWorkspace, SparseVec,
+    adaptive_run_in, DiffusionParams, DiffusionStats, DiffusionWorkspace, SparseVec,
 };
 use laca_graph::{CsrGraph, NodeId};
-
-/// Which diffusion solver Algo. 4 invokes (the "w/o AdaptiveDiffuse"
-/// ablation of Table VI swaps in GreedyDiffuse).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DiffusionBackend {
-    /// Algo. 2 (the paper's choice).
-    #[default]
-    Adaptive,
-    /// Algo. 1 (ablation).
-    Greedy,
-    /// Pure Eq. 17 iteration (reference; no locality bound).
-    NonGreedy,
-}
 
 /// LACA query parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,10 +40,11 @@ pub struct LacaParams {
     pub alpha: f64,
     /// Diffusion threshold `ε`; output volume and cost are `O(1/ε)`.
     pub epsilon: f64,
-    /// Greedy/non-greedy balance `σ ∈ [0, 1]` of AdaptiveDiffuse.
+    /// Greedy/non-greedy balance `σ ∈ [0, 1]` of AdaptiveDiffuse (Algo. 2).
+    /// `σ = 1` never takes a non-greedy step, so it runs GreedyDiffuse
+    /// (Algo. 1) bit for bit (Lemma IV.3): that is the Table VI
+    /// "w/o AdaptiveDiffuse" ablation.
     pub sigma: f64,
-    /// Diffusion solver selection.
-    pub backend: DiffusionBackend,
     /// `false` disables attribute information entirely — the
     /// "LACA (w/o SNAS)" configuration, where the BDD degenerates to the
     /// CoSimRank-style topology-only measure (Section II-C remark).
@@ -67,13 +54,7 @@ pub struct LacaParams {
 impl LacaParams {
     /// Paper-typical defaults: `α = 0.8`, `σ = 0.1`.
     pub fn new(epsilon: f64) -> Self {
-        LacaParams {
-            alpha: 0.8,
-            epsilon,
-            sigma: 0.1,
-            backend: DiffusionBackend::Adaptive,
-            use_snas: true,
-        }
+        LacaParams { alpha: 0.8, epsilon, sigma: 0.1, use_snas: true }
     }
 
     /// Sets `α`.
@@ -85,12 +66,6 @@ impl LacaParams {
     /// Sets `σ`.
     pub fn with_sigma(mut self, sigma: f64) -> Self {
         self.sigma = sigma;
-        self
-    }
-
-    /// Selects the diffusion backend.
-    pub fn with_backend(mut self, backend: DiffusionBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -113,12 +88,10 @@ impl LacaParams {
         self.alpha.to_bits().hash(&mut h);
         self.epsilon.to_bits().hash(&mut h);
         self.sigma.to_bits().hash(&mut h);
-        let backend: u8 = match self.backend {
-            DiffusionBackend::Adaptive => 0,
-            DiffusionBackend::Greedy => 1,
-            DiffusionBackend::NonGreedy => 2,
-        };
-        backend.hash(&mut h);
+        // A retired solver-selection byte, always 0 now. It stays in the
+        // digest so fingerprints stored in v1 index images, and the route
+        // and cache keys built from them, keep their values.
+        0u8.hash(&mut h);
         self.use_snas.hash(&mut h);
         h.finish()
     }
@@ -188,8 +161,8 @@ impl<'g> Laca<'g> {
         &self.params
     }
 
-    /// One diffusion of Algo. 4 with the configured backend. `q` and `r`
-    /// stay in `ws`; only the stats come back.
+    /// One AdaptiveDiffuse run of Algo. 4. `q` and `r` stay in `ws`; only
+    /// the stats come back.
     fn diffuse(
         &self,
         f: &SparseVec,
@@ -202,13 +175,7 @@ impl<'g> Laca<'g> {
             sigma: self.params.sigma,
             record_residuals: false,
         };
-        let graph = self.graph;
-        let stats = match self.params.backend {
-            DiffusionBackend::Adaptive => adaptive_run_in(graph, f, &dp, ws)?,
-            DiffusionBackend::Greedy => greedy_run_in(graph, f, &dp, ws)?,
-            DiffusionBackend::NonGreedy => nongreedy_run_in(graph, f, &dp, ws)?,
-        };
-        Ok(stats)
+        Ok(adaptive_run_in(self.graph, f, &dp, ws)?)
     }
 
     /// Steps 1–3 of Algo. 4 on `ws`. Returns the query's stats and `ρ'` as
@@ -497,18 +464,23 @@ mod tests {
 
     #[test]
     fn greedy_backend_is_usable_but_not_better() {
+        // σ = 1 is GreedyDiffuse (the "w/o AdaptiveDiffuse" ablation).
         let ds = dataset();
         let tnam = Tnam::build(&ds.attributes, &TnamConfig::new(8, MetricFn::Cosine)).unwrap();
         let adaptive = Laca::new(&ds.graph, Some(&tnam), LacaParams::new(1e-5)).unwrap();
-        let greedy = Laca::new(
-            &ds.graph,
-            Some(&tnam),
-            LacaParams::new(1e-5).with_backend(DiffusionBackend::Greedy),
-        )
-        .unwrap();
+        let greedy =
+            Laca::new(&ds.graph, Some(&tnam), LacaParams::new(1e-5).with_sigma(1.0)).unwrap();
         let (_, sa) = adaptive.bdd_with_stats(2).unwrap();
         let (_, sg) = greedy.bdd_with_stats(2).unwrap();
         assert!(sa.rwr.iterations <= sg.rwr.iterations);
+    }
+
+    #[test]
+    fn fingerprint_keeps_its_stored_value() {
+        // v1 index images store this digest and serving keys its caches and
+        // routes on it, so the value must not move when fields are retired.
+        assert_eq!(LacaParams::new(1e-4).fingerprint(), 0x808f_2b0c_5bee_b96a);
+        assert_eq!(LacaParams::new(1e-5).fingerprint(), 0xcbd7_bb77_4e18_f72d);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! **Ablations.** [`LacaVariant`] enumerates the four configurations the
 //! paper ablates: the full method, "w/o k-SVD" (raw attributes feed the
-//! TNAM), "w/o AdaptiveDiffuse" (GreedyDiffuse only) and "w/o SNAS"
-//! (topology-only BDD).
+//! TNAM), "w/o AdaptiveDiffuse" (GreedyDiffuse only, i.e. `σ = 1`) and
+//! "w/o SNAS" (topology-only BDD).
 //!
 //! **BDD alternatives.** Appendix C-1 replaces some of the three diffusion
 //! "steps" with attribute-weighted transitions `ρ(v_i, v_j) =
@@ -15,7 +15,6 @@
 //! implementations are diffusion-based too) while preserving exactly the
 //! property Table X probes: *where* attribute similarity enters the walk.
 
-use crate::laca::DiffusionBackend;
 use crate::{CoreError, Laca, LacaParams, Tnam, TnamConfig};
 use laca_diffusion::workspace::with_thread_workspace;
 use laca_diffusion::{adaptive_diffuse_in, DiffusionParams, SparseVec};
@@ -28,7 +27,8 @@ pub enum LacaVariant {
     Full,
     /// TNAM built from raw attributes (no k-SVD denoising).
     WithoutKSvd,
-    /// GreedyDiffuse replaces AdaptiveDiffuse.
+    /// GreedyDiffuse replaces AdaptiveDiffuse: `σ = 1`, which never takes
+    /// a non-greedy step (Lemma IV.3).
     WithoutAdaptive,
     /// Attribute information disabled entirely.
     WithoutSnas,
@@ -70,12 +70,9 @@ impl LacaVariant {
     }
 
     /// Adjusts the query parameters for this variant.
-    pub fn adjust_params(&self, mut params: LacaParams) -> LacaParams {
+    pub fn adjust_params(&self, params: LacaParams) -> LacaParams {
         match self {
-            LacaVariant::WithoutAdaptive => {
-                params.backend = DiffusionBackend::Greedy;
-                params
-            }
+            LacaVariant::WithoutAdaptive => params.with_sigma(1.0),
             LacaVariant::WithoutSnas => params.without_snas(),
             _ => params,
         }

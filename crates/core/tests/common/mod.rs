@@ -2,16 +2,18 @@
 //! Algo. 4 rebuilt from the public `*_diffuse_in` + `SparseVec` calls the
 //! way `Laca` composed it before it read results from the workspace
 //! (every diffusion converted to maps, full sorts for Step 2 and the
-//! extraction). The new path must match it bit for bit.
+//! extraction). The new path must match it bit for bit. At `σ = 1` the
+//! composition calls GreedyDiffuse itself, so the same comparison pins
+//! the "w/o AdaptiveDiffuse" ablation to Algo. 1's answers.
 
 #![allow(dead_code)]
 
-use laca_core::laca::{DiffusionBackend, LacaQueryStats};
+use laca_core::laca::LacaQueryStats;
 use laca_core::tnam::TnamConfig;
 use laca_core::{CoreError, Laca, MetricFn, Tnam};
 use laca_diffusion::{
-    adaptive_diffuse_in, greedy_diffuse_in, nongreedy_diffuse_in, DiffusionParams, DiffusionResult,
-    DiffusionWorkspace, SparseVec,
+    adaptive_diffuse_in, greedy_diffuse_in, DiffusionParams, DiffusionResult, DiffusionWorkspace,
+    SparseVec,
 };
 use laca_graph::gen::{AttributeSpec, AttributedGraphSpec};
 use laca_graph::{AttributedDataset, NodeId};
@@ -49,7 +51,8 @@ pub fn build(spec: &AttributedGraphSpec) -> (AttributedDataset, Tnam) {
     (ds, tnam)
 }
 
-/// One diffusion through the `SparseVec`-returning entry point.
+/// One diffusion through the `SparseVec`-returning entry point:
+/// GreedyDiffuse (Algo. 1) at `σ = 1`, AdaptiveDiffuse (Algo. 2) below.
 fn diffuse(
     engine: &Laca<'_>,
     f: &SparseVec,
@@ -59,10 +62,10 @@ fn diffuse(
     let p = engine.params();
     let dp = DiffusionParams { alpha: p.alpha, epsilon, sigma: p.sigma, record_residuals: false };
     let g = engine.graph();
-    Ok(match p.backend {
-        DiffusionBackend::Adaptive => adaptive_diffuse_in(g, f, &dp, ws)?,
-        DiffusionBackend::Greedy => greedy_diffuse_in(g, f, &dp, ws)?,
-        DiffusionBackend::NonGreedy => nongreedy_diffuse_in(g, f, &dp, ws)?,
+    Ok(if p.sigma >= 1.0 {
+        greedy_diffuse_in(g, f, &dp, ws)?
+    } else {
+        adaptive_diffuse_in(g, f, &dp, ws)?
     })
 }
 

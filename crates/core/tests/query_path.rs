@@ -3,21 +3,20 @@
 //! workspace, and must answer exactly what the map-based composition
 //! (`common::old_bdd` + a full-sort extraction) answers — the same `ρ'`
 //! bits, the same stats (including the `‖φ'‖₁` bits), the same clusters —
-//! for every backend, with and without SNAS, across ε.
+//! for σ = 0.1 (the default) and σ = 1 (GreedyDiffuse, the Table VI
+//! ablation), with and without SNAS, across ε.
 
 mod common;
 
 use common::{bits, build, old_bdd, old_top_k, pubmed_small_spec, small_spec};
 use laca_core::extract::{top_k_cluster, top_k_cluster_from_pairs};
-use laca_core::laca::DiffusionBackend;
 use laca_core::tnam::TnamConfig;
 use laca_core::{CoreError, Laca, LacaParams, MetricFn, Tnam};
 use laca_diffusion::{DiffusionWorkspace, SparseVec};
 use laca_graph::{AttributeMatrix, CsrGraph, NodeId};
 use proptest::prelude::*;
 
-const BACKENDS: [DiffusionBackend; 3] =
-    [DiffusionBackend::Adaptive, DiffusionBackend::Greedy, DiffusionBackend::NonGreedy];
+const SIGMAS: [f64; 2] = [0.1, 1.0];
 const EPSILONS: [f64; 3] = [1e-3, 1e-4, 1e-5];
 
 /// New path against the old composition for one engine and seed, at the
@@ -39,15 +38,15 @@ fn assert_same_answers(engine: &Laca<'_>, seed: NodeId, truth_len: usize, what: 
 
 fn sweep(spec: &laca_graph::gen::AttributedGraphSpec, seeds: &[NodeId]) {
     let (ds, tnam) = build(spec);
-    for backend in BACKENDS {
+    for sigma in SIGMAS {
         for use_snas in [true, false] {
             for eps in EPSILONS {
-                let mut params = LacaParams::new(eps).with_backend(backend);
+                let mut params = LacaParams::new(eps).with_sigma(sigma);
                 if !use_snas {
                     params = params.without_snas();
                 }
                 let engine = Laca::new(&ds.graph, Some(&tnam), params).expect("engine");
-                let what = format!("{backend:?} snas={use_snas} eps={eps}");
+                let what = format!("sigma={sigma} snas={use_snas} eps={eps}");
                 for &seed in seeds {
                     assert_same_answers(&engine, seed, ds.ground_truth(seed).len(), &what);
                 }
@@ -98,10 +97,9 @@ fn an_isolated_seed_answers_the_seed_alone() {
     let rows: Vec<Vec<(u32, f64)>> = (0..7).map(|i| vec![(i % 3, 1.0), (3 + i % 2, 0.5)]).collect();
     let attrs = AttributeMatrix::from_rows(5, &rows).expect("attributes");
     let tnam = Tnam::build(&attrs, &TnamConfig::new(4, MetricFn::Cosine)).expect("tnam");
-    for backend in BACKENDS {
+    for sigma in SIGMAS {
         for params in [LacaParams::new(1e-4), LacaParams::new(1e-4).without_snas()] {
-            let engine =
-                Laca::new(&graph, Some(&tnam), params.with_backend(backend)).expect("engine");
+            let engine = Laca::new(&graph, Some(&tnam), params.with_sigma(sigma)).expect("engine");
             assert_eq!(engine.cluster(6, 3).expect("cluster"), vec![6]);
             assert_same_answers(&engine, 6, 3, "isolated");
             assert_same_answers(&engine, 0, 3, "bridged");

@@ -16,6 +16,7 @@
 //! Algo. 2 branch test is `O(1)` per iteration instead of the reference
 //! implementation's `O(|supp(r)|)` rescan.
 
+use crate::greedy::greedy_run_in;
 use crate::workspace::{with_thread_workspace, DiffusionWorkspace};
 use crate::SparseVec;
 use crate::{check_input, DiffusionError, DiffusionParams, DiffusionResult, DiffusionStats};
@@ -117,6 +118,12 @@ pub fn adaptive_run_in(
     ws: &mut DiffusionWorkspace,
 ) -> Result<DiffusionStats, DiffusionError> {
     params.validate()?;
+    if params.sigma >= 1.0 {
+        // `|supp(γ)|/|supp(r)| ≤ 1`, so σ = 1 never takes the non-greedy
+        // branch: run Algo. 1's loop, which skips the branch-test
+        // aggregates. Same steps, same bits (Lemma IV.3).
+        return greedy_run_in(graph, f, params, ws);
+    }
     check_input(f)?;
     let epoch_resets_before = ws.epoch_resets_total();
     ws.begin(graph.n());

@@ -4,12 +4,9 @@
 //! push, a full rescan of `supp(r)` per AdaptiveDiffuse iteration to
 //! recompute `|supp(γ)|/|supp(r)|` and `vol(r)`, and fresh allocations per
 //! query. The production solvers run on [`crate::DiffusionWorkspace`]
-//! instead; these stay as
-//!
-//! * differential-testing oracles — the property suite checks the
-//!   workspace solvers against them entry-by-entry, and
-//! * the "old" side of `benches/diffusion.rs`, which records the
-//!   workspace speedup into `BENCH_diffusion.json`.
+//! instead; these stay as differential-testing oracles: the property
+//! suite (`tests/properties.rs`) checks the workspace solvers against
+//! them entry by entry.
 //!
 //! The arithmetic mirrors the workspace (threshold tests and push spreads
 //! multiply by the cached `1/d(v)` rather than dividing), so the two

@@ -118,13 +118,6 @@ impl SparseVec {
         }
     }
 
-    /// Adds `other` into `self` entry-wise.
-    pub fn add_assign(&mut self, other: &SparseVec) {
-        for (i, v) in other.iter() {
-            self.add(i, v);
-        }
-    }
-
     /// Entries sorted by node id (deterministic output order).
     pub fn to_sorted_pairs(&self) -> Vec<(NodeId, f64)> {
         let mut out: Vec<(NodeId, f64)> = self.iter().collect();
@@ -221,14 +214,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_add_assign() {
+    fn scale_multiplies_every_entry_and_zero_clears() {
         let mut a = SparseVec::from_pairs([(0, 1.0), (1, 2.0)]);
         a.scale(0.5);
+        assert_eq!(a.get(0), 0.5);
         assert_eq!(a.get(1), 1.0);
-        let b = SparseVec::from_pairs([(1, 1.0), (2, 4.0)]);
-        a.add_assign(&b);
-        assert_eq!(a.get(1), 2.0);
-        assert_eq!(a.get(2), 4.0);
         a.scale(0.0);
         assert!(a.is_empty());
     }

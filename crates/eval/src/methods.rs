@@ -23,7 +23,6 @@ use laca_baselines::pane::{pane_embeddings, PaneConfig};
 use laca_baselines::pr_nibble::PrNibble;
 use laca_baselines::sage::{sage_embeddings, SageConfig};
 use laca_baselines::simrank::SimRank;
-use laca_core::laca::DiffusionBackend;
 use laca_core::{Laca, LacaParams, MetricFn, Tnam, TnamConfig};
 use laca_graph::{AttributedDataset, NodeId};
 use laca_linalg::DenseMatrix;
@@ -268,7 +267,6 @@ impl MethodSpec {
                 if matches!(self, MethodSpec::LacaWoSnas) {
                     params = params.without_snas();
                 }
-                params.backend = DiffusionBackend::Adaptive;
                 Box::new(move |seed, size| {
                     let engine = Laca::new(&ds.graph, tnam.as_ref(), params.clone())?;
                     Ok(engine.cluster(seed, size)?)

@@ -512,12 +512,6 @@ impl GraphBuilder {
         self.edges.contains(&key)
     }
 
-    /// Removes an undirected edge; returns `true` if it was present.
-    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges.remove(&key)
-    }
-
     /// Finalizes into a [`CsrGraph`].
     pub fn build(self) -> Result<CsrGraph, GraphError> {
         let edges: Vec<(NodeId, NodeId)> = self.edges.into_iter().collect();

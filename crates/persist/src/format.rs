@@ -17,7 +17,6 @@
 
 use crate::bytes::{bytes_of, checksum, u64s_to_usizes, usize_bytes, vec_from_bytes};
 use crate::PersistError;
-use laca_core::laca::DiffusionBackend;
 use laca_core::{LacaParams, MetricFn, Tnam, TnamRowsView};
 use laca_graph::{AttributeMatrix, AttributedDataset, CsrGraph, NodeId};
 use laca_linalg::DenseMatrix;
@@ -180,11 +179,8 @@ pub fn write_index_bytes(index: &ClusterIndex) -> Vec<u8> {
     words[4] = params.alpha.to_bits();
     words[5] = params.epsilon.to_bits();
     words[6] = params.sigma.to_bits();
-    words[7] = match params.backend {
-        DiffusionBackend::Adaptive => 0,
-        DiffusionBackend::Greedy => 1,
-        DiffusionBackend::NonGreedy => 2,
-    };
+    // Word 7 held a solver-selection tag whose only value now is 0
+    // (AdaptiveDiffuse); it stays 0 and the reader rejects anything else.
     words[8] = params.use_snas as u64;
     words[9] = params.fingerprint();
     words[11] = index.fingerprint();
@@ -542,16 +538,13 @@ pub fn read_index_bytes(bytes: &[u8]) -> Result<ClusterIndex, PersistError> {
             return Err(PersistError::Meta("TNAM width disagrees with metadata"));
         }
     }
+    if words[7] != 0 {
+        return Err(PersistError::Meta("unknown diffusion solver tag"));
+    }
     let params = LacaParams {
         alpha: f64::from_bits(words[4]),
         epsilon: f64::from_bits(words[5]),
         sigma: f64::from_bits(words[6]),
-        backend: match words[7] {
-            0 => DiffusionBackend::Adaptive,
-            1 => DiffusionBackend::Greedy,
-            2 => DiffusionBackend::NonGreedy,
-            _ => return Err(PersistError::Meta("unknown diffusion backend tag")),
-        },
         use_snas: match words[8] {
             0 => false,
             1 => true,
@@ -713,7 +706,7 @@ mod tests {
             (&exp, LacaParams::new(1e-4).with_alpha(0.9)),
             (&ablation, LacaParams::new(1e-3)),
             (&cosine, LacaParams::new(1e-4).without_snas()),
-            (&cosine, LacaParams::new(1e-4).with_backend(DiffusionBackend::Greedy)),
+            (&cosine, LacaParams::new(1e-4).with_sigma(1.0)),
         ] {
             let index = ClusterIndex::from_dataset(&ds, cfg, params).expect("build");
             check_round_trip(&index);

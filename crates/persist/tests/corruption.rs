@@ -254,6 +254,23 @@ fn tampered_params_fail_the_fingerprint_check() {
     );
 }
 
+#[test]
+fn nonzero_solver_tag_is_rejected_as_meta() {
+    // META word 7 once tagged a solver choice (1 and 2 were the greedy and
+    // non-greedy ones). Only 0 is valid now: the reader must refuse any
+    // other tag with a typed error instead of guessing a solver.
+    let bytes = index_bytes();
+    let secs = sections(bytes);
+    let &(_, off, len) = secs.iter().find(|(id, _, _)| *id == 1).expect("META present");
+    for tag in [1u64, 2] {
+        let mut corrupt = bytes.to_vec();
+        corrupt[off + 7 * 8..off + 8 * 8].copy_from_slice(&tag.to_ne_bytes());
+        restamp(&mut corrupt, off, len);
+        let err = read_index_bytes(&corrupt).expect_err("nonzero solver tag accepted");
+        assert!(matches!(err, PersistError::Meta(_)), "tag {tag}: expected Meta, got {err:?}");
+    }
+}
+
 /// Recomputes a section checksum and the table checksum after a
 /// deliberate payload edit (mirrors the format's checksum definition so
 /// tampering tests reach the layers *behind* the checksums).

@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// clones) combining [`LacaParams::fingerprint`] with the TNAM's
 /// [`laca_core::tnam::TnamConfig::fingerprint`]. It keys the service's
 /// result cache and the router's [`crate::RouteKey`]: two indices over
-/// the same data with different `ε`/`α`/backend — or the same params
+/// the same data with different `ε`/`α`/`σ` — or the same params
 /// over TNAMs built with different `k`/metric/seed — produce different
 /// keys, so neither a params change nor a TNAM rebuild can ever serve
 /// stale or mixed answers.
@@ -137,7 +137,6 @@ impl ClusterIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laca_core::laca::DiffusionBackend;
     use laca_core::MetricFn;
     use laca_graph::gen::{AttributeSpec, AttributedGraphSpec};
 
@@ -170,7 +169,7 @@ mod tests {
         assert_ne!(fp(&base), fp(&LacaParams::new(1e-5)));
         assert_ne!(fp(&base), fp(&base.clone().with_alpha(0.9)));
         assert_ne!(fp(&base), fp(&base.clone().with_sigma(0.2)));
-        assert_ne!(fp(&base), fp(&base.clone().with_backend(DiffusionBackend::Greedy)));
+        assert_ne!(fp(&base), fp(&base.clone().with_sigma(1.0)));
         assert_ne!(fp(&LacaParams::new(1e-4)), fp(&LacaParams::new(1e-4).without_snas()));
     }
 

@@ -31,7 +31,7 @@ use rustc_hash::FxHashMap;
 /// index fingerprint ([`ClusterIndex::fingerprint`] —
 /// [`laca_core::LacaParams::fingerprint`] combined with the TNAM
 /// config's fingerprint). Two indices over the same dataset with
-/// different `ε`/`α`/backend — or the same params over TNAMs built with
+/// different `ε`/`α`/`σ` — or the same params over TNAMs built with
 /// different `k`/metric/seed — get distinct keys, so routing can never
 /// mix parameterizations.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
