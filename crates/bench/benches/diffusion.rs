@@ -1,7 +1,10 @@
 //! Criterion micro-benchmarks for the diffusion solvers (Section IV):
 //! the quantitative backing for Fig. 5 / Table II — the epoch-stamped
 //! `DiffusionWorkspace` solvers on the registry's mid-size graph
-//! (pubmed-like, n ≈ 19.7k) across the operating range of `ε`.
+//! (pubmed-like, n ≈ 19.7k) across the operating range of `ε`, plus
+//! `adaptive_wide/1e-5`: AdaptiveDiffuse from the degree-proportional input
+//! `f_i = d_i / vol(G)`, whose residual covers the whole graph from the
+//! first step, as LACA's Step 3 does at `pubmed_e5`'s ε.
 //!
 //! Besides the console report, this bench writes a machine-readable
 //! `BENCH_diffusion.json` (override the path with `BENCH_DIFFUSION_JSON`)
@@ -34,6 +37,15 @@ fn bench_diffusion(c: &mut Criterion) {
             b.iter(|| nongreedy_diffuse_in(&ds.graph, &f, p, &mut ws).unwrap())
         });
     }
+    let vol = ds.graph.total_volume();
+    let wide = SparseVec::from_pairs(
+        (0..ds.graph.n() as u32).map(|v| (v, ds.graph.weighted_degree(v) / vol)),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("adaptive_wide", "1e-5"),
+        &DiffusionParams::new(0.8, 1e-5),
+        |b, p| b.iter(|| adaptive_diffuse_in(&ds.graph, &wide, p, &mut ws).unwrap()),
+    );
     group.finish();
 }
 

@@ -179,10 +179,16 @@ impl<'g> Laca<'g> {
     }
 
     /// Steps 1–3 of Algo. 4 on `ws`. Returns the query's stats and `ρ'` as
-    /// `(node, q/d)` pairs in the workspace's reserve buffer (first-touch
-    /// order; empty when `‖φ'‖₁ = 0`). Neither `π'` nor `ρ'` becomes a
-    /// map; `φ'` stays a [`SparseVec`] because `‖φ'‖₁` and Step 3's seeding
-    /// run in its map order.
+    /// `(node, q/d)` pairs in the workspace's reserve buffer (empty when
+    /// `‖φ'‖₁ = 0`). Neither `π'` nor `ρ'` becomes a map; `φ'` stays a
+    /// [`SparseVec`] because `‖φ'‖₁` and Step 3's seeding run in its map
+    /// order.
+    ///
+    /// The pairs come in the workspace's first-touch order, which is not
+    /// part of the answer: a non-greedy step that covers most of the graph
+    /// runs as a pull and adds the nodes it first reaches in id order.
+    /// Every reader is order-free: Step 2 sorts `π'` by id, the top-`|Cs|`
+    /// selection breaks ties by id, and a `SparseVec` compares by content.
     fn run_in<'w>(
         &self,
         seed: NodeId,
@@ -300,7 +306,8 @@ impl<'g> Laca<'g> {
     }
 }
 
-/// `ρ'` as `(node, q/d)` pairs, borrowed from a workspace's reserve buffer.
+/// `ρ'` as `(node, q/d)` pairs, borrowed from a workspace's reserve buffer,
+/// in an order that is not part of the answer (see `Laca::run_in`).
 type RhoPairs<'w> = &'w mut [(NodeId, f64)];
 
 /// Step 2 (Eq. 12/13) over a sorted `π'` support: `ψ = Σ π'_i · z⁽ⁱ⁾`,

@@ -14,7 +14,10 @@
 //! Both loops run on a [`DiffusionWorkspace`], which maintains `vol(r)`
 //! and the above-threshold count incrementally as pushes happen — the
 //! Algo. 2 branch test is `O(1)` per iteration instead of the reference
-//! implementation's `O(|supp(r)|)` rescan.
+//! implementation's `O(|supp(r)|)` rescan. Both take their non-greedy
+//! steps through one workspace method, which runs a step whose `vol(r)`
+//! covers most of an unweighted graph as a pull over the CSR rows
+//! instead of a scatter, with the same bits (see the workspace docs).
 
 use crate::greedy::greedy_run_in;
 use crate::workspace::{with_thread_workspace, DiffusionWorkspace};
@@ -67,8 +70,7 @@ pub fn nongreedy_run_in(
         stats.iterations += 1;
         stats.nongreedy_iterations += 1;
         stats.nongreedy_cost += ws.vol_r();
-        ws.extract_all(graph, params.alpha);
-        stats.push_operations += ws.push_gamma::<true>(graph, params.alpha, params.epsilon);
+        stats.push_operations += ws.nongreedy_step(graph, params.alpha, params.epsilon);
         if params.record_residuals {
             stats.residual_history.push(ws.residual_l1());
         }
@@ -139,8 +141,7 @@ pub fn adaptive_run_in(
             stats.iterations += 1;
             stats.nongreedy_iterations += 1;
             stats.nongreedy_cost += vol_r;
-            ws.extract_all(graph, params.alpha);
-            stats.push_operations += ws.push_gamma::<true>(graph, params.alpha, params.epsilon);
+            stats.push_operations += ws.nongreedy_step(graph, params.alpha, params.epsilon);
         } else {
             // Greedy branch (Algo. 2 lines 8–11 = Algo. 1 lines 4–7).
             if ws.frontier_is_empty() {

@@ -225,16 +225,6 @@ impl HistogramSnapshot {
     pub fn p999(&self) -> u64 {
         self.quantile(0.999).unwrap_or(0)
     }
-
-    /// Occupied buckets as `(upper_bound, count)` pairs, ascending —
-    /// the iteration exposition and the timeline table print from.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(b, &n)| (bucket_upper_bound(b), n))
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +258,6 @@ mod tests {
         assert_eq!(s.p50(), 0);
         assert_eq!(s.p99(), 0);
         assert_eq!(s.mean(), 0);
-        assert_eq!(s.nonzero_buckets().count(), 0);
     }
 
     #[test]

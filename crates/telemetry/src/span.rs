@@ -163,11 +163,6 @@ impl QuerySpan {
         self.compute_end_ns.saturating_sub(self.compute_start_ns)
     }
 
-    /// Coalesce park duration: resume − park (joiners only).
-    pub fn park_ns(&self) -> u64 {
-        self.resumed_ns.saturating_sub(self.parked_ns)
-    }
-
     /// End-to-end latency: reply − admission.
     pub fn total_ns(&self) -> u64 {
         self.replied_ns.saturating_sub(self.admitted_ns)

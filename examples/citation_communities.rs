@@ -8,7 +8,7 @@
 
 use laca::baselines::attr_sim::{AttrSimKind, SimAttr};
 use laca::baselines::pr_nibble::PrNibble;
-use laca::eval::metrics::{conductance, precision, wcss};
+use laca::eval::metrics::{conductance, precision_at, wcss};
 use laca::graph::datasets::cora_like;
 use laca::prelude::*;
 
@@ -38,7 +38,7 @@ fn main() {
             pr.cluster(s, truth.len()).expect("pr-nibble"),
             sim.cluster(s, truth.len()).expect("simattr"),
         ];
-        let ps: Vec<f64> = clusters.iter().map(|c| precision(c, truth)).collect();
+        let ps: Vec<f64> = clusters.iter().map(|c| precision_at(c, truth, truth.len())).collect();
         for (t, p) in totals.iter_mut().zip(&ps) {
             *t += p / seeds.len() as f64;
         }

@@ -8,7 +8,7 @@
 //! ```
 
 use laca::baselines::hk_relax::HkRelax;
-use laca::eval::metrics::precision;
+use laca::eval::metrics::precision_at;
 use laca::graph::gen::{AttributeSpec, AttributedGraphSpec};
 use laca::prelude::*;
 
@@ -49,9 +49,10 @@ fn main() {
         let mut avg = [0.0f64; 3];
         for &s in &seeds {
             let truth = dataset.ground_truth(s);
-            avg[0] += precision(&laca_engine.cluster(s, truth.len()).unwrap(), truth);
-            avg[1] += precision(&hk.cluster(s, truth.len()).unwrap(), truth);
-            avg[2] += precision(&wo_snas.cluster(s, truth.len()).unwrap(), truth);
+            avg[0] +=
+                precision_at(&laca_engine.cluster(s, truth.len()).unwrap(), truth, truth.len());
+            avg[1] += precision_at(&hk.cluster(s, truth.len()).unwrap(), truth, truth.len());
+            avg[2] += precision_at(&wo_snas.cluster(s, truth.len()).unwrap(), truth, truth.len());
         }
         for a in &mut avg {
             *a /= seeds.len() as f64;
